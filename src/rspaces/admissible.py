@@ -87,20 +87,6 @@ def all_nonempty_subsets(rank: int) -> Iterator[IndexSet]:
         yield IndexSet(mask)
 
 
-def _parity_masks(system: RootSystem) -> list[tuple[int, int]]:
-    """Per root: (bitmask of odd coefficients, bitmask of nonzero coefficients)."""
-    out = []
-    for root in system.positive_roots:
-        odd = sup = 0
-        for k, c in enumerate(root):
-            if c:
-                sup |= 1 << k
-                if c & 1:
-                    odd |= 1 << k
-        out.append((odd, sup))
-    return out
-
-
 def _require_nonempty(system: RootSystem, I: IndexSet) -> None:
     if not I:
         raise ValueError("admissibility is defined for non-empty index sets only")
@@ -112,7 +98,7 @@ def is_admissible(system: RootSystem, I: IndexSet) -> bool:
     """True iff no positive root is even and not identically zero on I."""
     _require_nonempty(system, I)
     m = I.mask
-    return all(odd & m or not sup & m for odd, sup in _parity_masks(system))
+    return all(odd & m or not sup & m for odd, sup in system.parity_masks)
 
 
 def admissibility_witness(system: RootSystem, I: IndexSet) -> Root | None:
@@ -123,7 +109,7 @@ def admissibility_witness(system: RootSystem, I: IndexSet) -> Root | None:
     """
     _require_nonempty(system, I)
     m = I.mask
-    for root, (odd, sup) in zip(reversed(system.positive_roots), reversed(_parity_masks(system))):
+    for root, (odd, sup) in zip(reversed(system.positive_roots), reversed(system.parity_masks)):
         if not odd & m and sup & m:
             return root
     return None
@@ -131,7 +117,7 @@ def admissibility_witness(system: RootSystem, I: IndexSet) -> Root | None:
 
 def enumerate_admissible(system: RootSystem) -> list[IndexSet]:
     """All non-empty admissible subsets, sorted by bitmask value."""
-    masks = _parity_masks(system)
+    masks = system.parity_masks
     return [
         IndexSet(m)
         for m in range(1, 1 << system.rank)
@@ -262,21 +248,14 @@ class ClassificationReport:
 
 def verify_classification(rst: RootSystemType) -> ClassificationReport:
     """Compare the parity predicate with the closed form over every non-empty subset."""
-    system = build(rst)
-    masks = _parity_masks(system)
-    admissible: list[IndexSet] = []
-    discrepancies: list[tuple[IndexSet, bool, bool]] = []
-    for m in range(1, 1 << rst.rank):
-        got = all(odd & m or not sup & m for odd, sup in masks)
-        I = IndexSet(m)
-        if got:
-            admissible.append(I)
-        expected = closed_form(rst, I)
+    admissible = tuple(enumerate_admissible(build(rst)))
+    members = set(admissible)
+    discrepancies = []
+    for I in all_nonempty_subsets(rst.rank):
+        expected, got = closed_form(rst, I), I in members
         if expected != got:
             discrepancies.append((I, expected, got))
-    return ClassificationReport(
-        rst, tuple(admissible), not discrepancies, tuple(discrepancies)
-    )
+    return ClassificationReport(rst, admissible, not discrepancies, tuple(discrepancies))
 
 
 def is_union_closed(system: RootSystem) -> bool:

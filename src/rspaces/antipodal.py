@@ -22,12 +22,12 @@ from .roots import RootSystem, RootSystemType
 CoweightVector = tuple[int, ...]
 
 DEFAULT_ORBIT_BUDGET = 50_000_000
-_BUDGET_ENV_VAR = "RSPACES_ORBIT_BUDGET"
+BUDGET_ENV_VAR = "RSPACES_ORBIT_BUDGET"
 
 
 def default_budget() -> int:
     """Element cap for orbit enumeration; override with RSPACES_ORBIT_BUDGET."""
-    raw = os.environ.get(_BUDGET_ENV_VAR)
+    raw = os.environ.get(BUDGET_ENV_VAR)
     return int(raw) if raw else DEFAULT_ORBIT_BUDGET
 
 
@@ -89,114 +89,27 @@ def weyl_group_order(rst: RootSystemType) -> int:
     raise AssertionError(fam)
 
 
-def classify_subdiagram(
-    cartan: tuple[tuple[int, ...], ...], nodes: tuple[int, ...]
-) -> RootSystemType:
-    """Type of one connected Dynkin subdiagram, from degrees and edge weights.
-
-    nodes are 0-based positions into the ambient Cartan matrix and must form a
-    connected induced subgraph.  B_2 is returned for the ambiguous rank-2
-    double-edge diagram (same Weyl group as C_2).
-    """
-    n = len(nodes)
-    if n == 1:
-        return RootSystemType("A", 1)
-    edges = []
-    for a in range(n):
-        for b in range(a + 1, n):
-            i, j = nodes[a], nodes[b]
-            if cartan[i][j]:
-                edges.append((a, b, cartan[i][j] * cartan[j][i]))
-    degree = [0] * n
-    for a, b, _ in edges:
-        degree[a] += 1
-        degree[b] += 1
-    if any(w == 3 for _, _, w in edges):
-        if n != 2:
-            raise ValueError("triple edge only occurs in G2")
-        return RootSystemType("G", 2)
-    doubles = [(a, b) for a, b, w in edges if w == 2]
-    if doubles:
-        if len(doubles) != 1 or max(degree) > 2:
-            raise ValueError("unrecognized multiply-laced subdiagram")
-        a, b = doubles[0]
-        if n == 2:
-            return RootSystemType("B", 2)
-        if degree[a] == 2 and degree[b] == 2:
-            if n != 4:
-                raise ValueError("interior double edge only occurs in F4")
-            return RootSystemType("F", 4)
-        end = a if degree[a] == 1 else b
-        other = b if end == a else a
-        # <alpha_long, alpha_short^vee> = -2: row of the long root holds the -2
-        long_is_end = cartan[nodes[end]][nodes[other]] == -2
-        return RootSystemType("C" if long_is_end else "B", n)
-    if max(degree) == 2 or n == 2:
-        return RootSystemType("A", n)
-    hubs = [a for a in range(n) if degree[a] == 3]
-    if len(hubs) != 1 or max(degree) > 3:
-        raise ValueError("unrecognized branching in simply-laced subdiagram")
-    arms = sorted(_arm_lengths(edges, hubs[0], n))
-    if arms[0] == 1 and arms[1] == 1:
-        return RootSystemType("D", n)
-    if arms[:2] == [1, 2] and arms[2] in (2, 3, 4):
-        return RootSystemType("E", n)
-    raise ValueError(f"unrecognized arm profile {arms}")
-
-
-def _arm_lengths(edges: list[tuple[int, int, int]], hub: int, n: int) -> list[int]:
-    adj: dict[int, list[int]] = {a: [] for a in range(n)}
-    for a, b, _ in edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    lengths = []
-    for start in adj[hub]:
-        length, prev, cur = 1, hub, start
-        while True:
-            nxt = [x for x in adj[cur] if x != prev]
-            if not nxt:
-                break
-            prev, cur = cur, nxt[0]
-            length += 1
-        lengths.append(length)
-    return lengths
-
-
-def _connected_components(
-    cartan: tuple[tuple[int, ...], ...], vertices: list[int]
-) -> list[tuple[int, ...]]:
-    vertex_set = set(vertices)
-    seen: set[int] = set()
-    components = []
-    for v in vertices:
-        if v in seen:
-            continue
-        stack, comp = [v], []
-        seen.add(v)
-        while stack:
-            x = stack.pop()
-            comp.append(x)
-            for y in vertex_set:
-                if y not in seen and cartan[x][y]:
-                    seen.add(y)
-                    stack.append(y)
-        components.append(tuple(sorted(comp)))
-    return components
-
-
 def stabilizer_order(system: RootSystem, I: IndexSet) -> int:
     """Order of the parabolic stabilizer of xi_I.
 
-    xi_I is dominant, so its stabilizer is generated by the simple reflections
-    s_j with j outside I; the order is the product of Weyl orders over the
-    connected components of the Dynkin subdiagram on the complement.
+    xi_I is dominant, so its stabilizer W_J is generated by the simple
+    reflections s_j with j outside I, and |W_J| is the product of
+    (ht a + 1) / ht a over the positive roots a vanishing on I (Macdonald,
+    "The Poincare series of a Coxeter group", 1972).  Roots with no odd
+    coefficient are exactly the doubled roots 2e_i of BC, skipped because
+    W(BC_r) = W(B_r).
     """
     if not I:
         raise ValueError("index set must be non-empty")
-    rest = [j for j in range(system.rank) if (j + 1) not in I]
-    order = 1
-    for comp in _connected_components(system.cartan, rest):
-        order *= weyl_group_order(classify_subdiagram(system.cartan, comp))
+    num = den = 1
+    for root, (odd, sup) in zip(system.positive_roots, system.parity_masks):
+        if odd and not sup & I.mask:
+            height = sum(root)
+            num *= height + 1
+            den *= height
+    order, rem = divmod(num, den)
+    if rem:
+        raise AssertionError(f"{system.type} {I}: height product {num}/{den} is not an integer")
     return order
 
 

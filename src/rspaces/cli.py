@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -39,6 +40,14 @@ def _parse_type(parser: argparse.ArgumentParser, family: str, rank: int) -> Root
         return RootSystemType(family.upper(), rank)
     except RootSystemError as exc:
         parser.error(str(exc))
+
+
+def _positive_int(raw: str) -> int:
+    if not raw.strip().isdecimal() or int(raw) == 0:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive integer, got {raw!r} (from --budget or ${ant.BUDGET_ENV_VAR})"
+        )
+    return int(raw)
 
 
 def _parse_set(parser: argparse.ArgumentParser, raw: str, rank: int) -> IndexSet:
@@ -212,7 +221,10 @@ def _cmd_subgroups(parser: argparse.ArgumentParser, args: argparse.Namespace) ->
         I = _parse_set(parser, args.set, rst.rank)
         if not adm.is_admissible(system, I):
             parser.error(f"{I} is not admissible for {rst}; no subgroup forms a triple")
-        minimal = gam.minimal_triple_subgroups(system, I)
+        try:
+            minimal = gam.minimal_triple_subgroups(system, I)
+        except ValueError as exc:  # |I| beyond the subspace-enumeration bound
+            parser.error(str(exc))
         payload = {
             "family": rst.family,
             "rank": rst.rank,
@@ -307,7 +319,14 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--enumerate", action="store_true", help="run the BFS enumeration")
     p.add_argument("--elements", action="store_true", help="include sorted orbit points")
     p.add_argument("--dump", metavar="PATH", help="write points as little-endian int16 rows")
-    p.add_argument("--budget", type=int, default=ant.default_budget(), help="orbit element cap")
+    # A string default is converted by type= only when orbit is parsed, so a bad
+    # environment value is a usage error of orbit alone.
+    p.add_argument(
+        "--budget",
+        type=_positive_int,
+        default=os.environ.get(ant.BUDGET_ENV_VAR) or str(ant.DEFAULT_ORBIT_BUDGET),
+        help=f"orbit element cap (default: ${ant.BUDGET_ENV_VAR} or {ant.DEFAULT_ORBIT_BUDGET})",
+    )
     p.add_argument("--strict", action="store_true", help="exit 3 when the budget is exceeded")
     p.set_defaults(fn=_cmd_orbit)
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Iterator
 
-from .admissible import IndexSet, _parity_masks, is_admissible
+from .admissible import IndexSet, is_admissible
 from .roots import Root, RootSystem
 
 
@@ -162,7 +162,7 @@ def fixed_root_set(system: RootSystem, subgroup: GammaSubgroup) -> FixedRootSet:
     basis is equivalent to checking all 2^dim elements; the test suite pins
     that equivalence against fixed_root_set_by_definition.
     """
-    pairs = zip(system.positive_roots, _parity_masks(system))
+    pairs = zip(system.positive_roots, system.parity_masks)
     return FixedRootSet(
         tuple(root for root, (odd, _) in pairs if _even_on_basis(odd, subgroup.basis))
     )
@@ -171,7 +171,7 @@ def fixed_root_set(system: RootSystem, subgroup: GammaSubgroup) -> FixedRootSet:
 def fixed_root_set_by_definition(system: RootSystem, subgroup: GammaSubgroup) -> FixedRootSet:
     """Same set computed literally over every subgroup element; test oracle."""
     keep = []
-    for root, (odd, _) in zip(system.positive_roots, _parity_masks(system)):
+    for root, (odd, _) in zip(system.positive_roots, system.parity_masks):
         if all((odd & J.mask).bit_count() % 2 == 0 for J in subgroup.elements):
             keep.append(root)
     return FixedRootSet(tuple(keep))
@@ -179,7 +179,7 @@ def fixed_root_set_by_definition(system: RootSystem, subgroup: GammaSubgroup) ->
 
 def roots_vanishing_on(system: RootSystem, I: IndexSet) -> FixedRootSet:
     """Positive roots supported entirely outside I."""
-    pairs = zip(system.positive_roots, _parity_masks(system))
+    pairs = zip(system.positive_roots, system.parity_masks)
     return FixedRootSet(tuple(root for root, (_, sup) in pairs if not sup & I.mask))
 
 
@@ -188,7 +188,7 @@ def is_triple(system: RootSystem, I: IndexSet, subgroup: GammaSubgroup) -> bool:
     if not I:
         raise ValueError("index set must be non-empty")
     m = I.mask
-    for _, (odd, sup) in zip(system.positive_roots, _parity_masks(system)):
+    for odd, sup in system.parity_masks:
         if _even_on_basis(odd, subgroup.basis) != (not sup & m):
             return False
     return True
@@ -200,7 +200,7 @@ def triple_witness(
     """A root separating the fixed set from the vanishing set, when they differ."""
     m = I.mask
     for root, (odd, sup) in zip(
-        reversed(system.positive_roots), reversed(_parity_masks(system))
+        reversed(system.positive_roots), reversed(system.parity_masks)
     ):
         if _even_on_basis(odd, subgroup.basis) != (not sup & m):
             return root

@@ -122,7 +122,9 @@ def _simply_laced_cartan(r: int, edges: list[tuple[int, int]]) -> tuple[tuple[in
 class RootSystem:
     """Immutable positive-root data for one irreducible system.
 
-    positive_roots is sorted lexicographically; all arithmetic downstream is
+    positive_roots is sorted lexicographically; parity_masks holds, in the
+    same order, each root's (bitmask of odd coefficients, bitmask of nonzero
+    coefficients), with bit j-1 for index j.  All arithmetic downstream is
     exact integer, so instances are safe to share across threads.
     """
 
@@ -131,6 +133,7 @@ class RootSystem:
     cartan: tuple[tuple[int, ...], ...]
     highest_root: Root
     simple_roots: tuple[Root, ...]
+    parity_masks: tuple[tuple[int, int], ...]
     _root_set: frozenset[Root] = field(repr=False, hash=False, compare=False, default=frozenset())
 
     @property
@@ -144,8 +147,13 @@ class RootSystem:
         return str(self.type)
 
 
+_BUILT: dict[RootSystemType, RootSystem] = {}
+
+
 def build(rst: RootSystemType) -> RootSystem:
-    """Construct the full positive-root list for the given type."""
+    """The root system of the given type, constructed once and then shared."""
+    if rst in _BUILT:
+        return _BUILT[rst]
     cartan = cartan_matrix(rst)
     r = rst.rank
     if rst.family == "BC":
@@ -160,7 +168,15 @@ def build(rst: RootSystemType) -> RootSystem:
     if any(any(c > h for c, h in zip(root, highest)) for root in roots):
         raise AssertionError(f"{rst}: no coefficient-wise maximal root")
     simple = tuple(tuple(1 if k == j else 0 for k in range(r)) for j in range(r))
-    return RootSystem(rst, roots, cartan, highest, simple, frozenset(roots))
+    masks = tuple(
+        (
+            sum(1 << k for k, c in enumerate(root) if c & 1),
+            sum(1 << k for k, c in enumerate(root) if c),
+        )
+        for root in roots
+    )
+    system = _BUILT[rst] = RootSystem(rst, roots, cartan, highest, simple, masks, frozenset(roots))
+    return system
 
 
 def positive_root_count(rst: RootSystemType) -> int:

@@ -224,15 +224,9 @@ def criterion_9_flag_example() -> CriterionResult:
     return _timed(9, "three-step flag example", None, body)
 
 
-_RANDOM_POOL: dict[RootSystemType, RootSystem] = {}
-
-
 def _random_system(rng: random.Random) -> RootSystem:
     fam = rng.choice(("A", "B", "C", "D", "BC"))
-    rst = RootSystemType(fam, rng.randint(5, 8))
-    if rst not in _RANDOM_POOL:
-        _RANDOM_POOL[rst] = build(rst)
-    return _RANDOM_POOL[rst]
+    return build(RootSystemType(fam, rng.randint(5, 8)))
 
 
 def criterion_10_properties() -> CriterionResult:

@@ -7,7 +7,6 @@ import pytest
 
 from rspaces.admissible import IndexSet, enumerate_admissible
 from rspaces.antipodal import (
-    classify_subdiagram,
     elements_to_bytes,
     orbit,
     reflect,
@@ -17,6 +16,7 @@ from rspaces.antipodal import (
     xi_vector,
 )
 from rspaces.roots import RootSystemType, build
+from rspaces.verify import standard_types
 
 
 def rst(fam, r):
@@ -37,6 +37,16 @@ def naive_orbit(system, start):
                     nxt.append(w)
         frontier = nxt
     return seen
+
+
+def height_product(roots):
+    """prod (ht a + 1) / ht a over the given roots; the Weyl order of their system."""
+    num = den = 1
+    for root in roots:
+        num *= sum(root) + 1
+        den *= sum(root)
+    assert num % den == 0
+    return num // den
 
 
 # ---------------------------------------------------------------------------
@@ -182,30 +192,38 @@ def test_stabilizer_examples():
 
 
 def test_stabilizer_via_subdiagram_types():
-    # complements classified from the Cartan submatrix
-    e8 = build(rst("E", 8))
-    assert classify_subdiagram(e8.cartan, (0, 2, 3, 4, 5, 6, 7)) == rst("A", 7)  # drop node 2
-    assert classify_subdiagram(e8.cartan, (1, 2, 3, 4, 5, 6, 7)) == rst("D", 7)  # drop node 1
-    e7 = build(rst("E", 7))
-    assert classify_subdiagram(e7.cartan, (1, 2, 3, 4, 5, 6)) == rst("D", 6)
-    assert classify_subdiagram(e7.cartan, (0, 1, 2, 3, 4, 5)) == rst("E", 6)
-    f4 = build(rst("F", 4))
-    assert classify_subdiagram(f4.cartan, (0, 1, 2)) == rst("B", 3)
-    assert classify_subdiagram(f4.cartan, (1, 2, 3)) == rst("C", 3)
-    assert classify_subdiagram(f4.cartan, (0, 1)) == rst("A", 2)
-    assert classify_subdiagram(f4.cartan, (1, 2)) == rst("B", 2)
-    b5 = build(rst("B", 5))
-    assert classify_subdiagram(b5.cartan, (1, 2, 3, 4)) == rst("B", 4)
-    assert classify_subdiagram(b5.cartan, (0, 1, 2)) == rst("A", 3)
-    c5 = build(rst("C", 5))
-    assert classify_subdiagram(c5.cartan, (1, 2, 3, 4)) == rst("C", 4)
+    # the stabilizer of xi_I is the Weyl group of the subdiagram on the complement of I
+    def check(fam, r, I, sub_fam, sub_r):
+        system = build(rst(fam, r))
+        assert stabilizer_order(system, IndexSet.of(*I)) == weyl_group_order(rst(sub_fam, sub_r))
+
+    check("E", 8, (2,), "A", 7)
+    check("E", 8, (1,), "D", 7)
+    check("E", 7, (1,), "D", 6)
+    check("E", 7, (7,), "E", 6)
+    check("F", 4, (4,), "B", 3)
+    check("F", 4, (1,), "C", 3)
+    check("F", 4, (3, 4), "A", 2)
+    check("F", 4, (1, 4), "B", 2)
+    check("B", 5, (1,), "B", 4)
+    check("B", 5, (4, 5), "A", 3)
+    check("C", 5, (1,), "C", 4)
+    check("G", 2, (2,), "A", 1)
+    # the whole G2 diagram has an empty complement: compare the full height product
     g2 = build(rst("G", 2))
-    assert classify_subdiagram(g2.cartan, (0, 1)) == rst("G", 2)
-    assert classify_subdiagram(g2.cartan, (0,)) == rst("A", 1)
+    assert height_product(g2.positive_roots) == weyl_group_order(rst("G", 2))
+
+
+@pytest.mark.parametrize("t", standard_types(), ids=str)
+def test_height_product_is_weyl_order(t):
+    system = build(t)
+    roots = [root for root, (odd, _) in zip(system.positive_roots, system.parity_masks) if odd]
+    assert height_product(roots) == weyl_group_order(t)
 
 
 def test_stabilizer_matches_naive_orbit_quotient():
-    for fam, r in [("B", 4), ("D", 5), ("F", 4), ("E", 6)]:
+    types = [("B", 4), ("D", 5), ("F", 4), ("E", 6), ("BC", 4), ("C", 4), ("G", 2), ("A", 5)]
+    for fam, r in types:
         system = build(rst(fam, r))
         w = weyl_group_order(rst(fam, r))
         for m in range(1, 1 << r):

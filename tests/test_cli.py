@@ -160,6 +160,10 @@ def test_subgroups_preset(capsys):
         ("subgroups", "A", "5", "--preset", "nope", "--params", "1,2,3"),
         ("subgroups", "A", "5", "--preset", "a-r-flag-example", "--params", "1,2"),
         ("subgroups", "A", "5", "--gens", "1,2"),  # --gens without --set
+        ("subgroups", "A", "7", "--set", "1,2,3,4,5,6,7"),  # |I| > 6
+        ("orbit", "A", "3", "--set", "1", "--budget", "0"),
+        ("orbit", "A", "3", "--set", "1", "--budget", "-5"),
+        ("orbit", "A", "3", "--set", "1", "--budget", "many"),
     ],
 )
 def test_usage_errors(argv):
@@ -172,6 +176,19 @@ def test_orbit_budget_env_default(monkeypatch):
     monkeypatch.setenv("RSPACES_ORBIT_BUDGET", "1234")
     args = make_parser().parse_args(["orbit", "A", "3", "--set", "1"])
     assert args.budget == 1234
+
+
+@pytest.mark.parametrize("raw", ["abc", "0", "-7", "1e6"])
+def test_orbit_budget_env_malformed(monkeypatch, capsys, raw):
+    monkeypatch.setenv("RSPACES_ORBIT_BUDGET", raw)
+    code, _, _ = run(capsys, "classify", "G", "2")  # other subcommands ignore the budget
+    assert code == 0
+    assert run_expecting_usage_error("orbit", "A", "3", "--set", "1") == 2
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and "RSPACES_ORBIT_BUDGET" in err
+    # an explicit --budget overrides the environment
+    code, _, _ = run(capsys, "orbit", "A", "3", "--set", "1", "--budget", "10")
+    assert code == 0
 
 
 def test_verify_all_exit_wiring(monkeypatch, capsys):

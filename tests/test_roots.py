@@ -253,6 +253,23 @@ def test_root_multiples(t):
         assert len(doubled) == t.rank
 
 
+@pytest.mark.parametrize("t", ALL_TYPES, ids=str)
+def test_parity_masks(t):
+    system = build(t)
+    assert len(system.parity_masks) == len(system.positive_roots)
+    for root, (odd, sup) in zip(system.positive_roots, system.parity_masks):
+        for j in range(1, t.rank + 1):
+            c = coefficient(root, j)
+            assert (odd >> (j - 1)) & 1 == c % 2
+            assert (sup >> (j - 1)) & 1 == (c != 0)
+    # only the doubled roots 2e_i of BC have no odd coefficient
+    assert sum(odd == 0 for odd, _ in system.parity_masks) == (0 if t.reduced else t.rank)
+
+
+def test_build_is_cached():
+    assert build(rst("E", 8)) is build(RootSystemType("E", 8))
+
+
 def test_bc_is_union_of_b_and_c():
     # C_r coefficients are in the basis with alpha_r = 2e_r; in the shared BC
     # coordinates (alpha_r = e_r) the last coefficient doubles.
