@@ -2,10 +2,12 @@
 
 The Weyl group acts on dual-basis (coweight) coordinates, where entry j of a
 vector is the value of alpha_j on it: s_j(v)_k = v_k - v_j * C[k][j].  The
-orbit of xi_I is enumerated by a level-synchronized BFS that only ever steps
-"down" from the dominant representative, so deduplication is per level and
-exact; its size must equal |W| / |W_parabolic| where the parabolic stabilizer
-is generated by the simple reflections fixing xi_I.
+orbit of xi_I is enumerated as a tree rooted at the dominant point xi_I, in
+which every point has exactly one parent, so nothing is deduplicated.  Its
+points correspond to the minimal coset representatives of W / W_J, where the
+parabolic stabilizer W_J is generated by the simple reflections fixing xi_I.
+The size |W| / |W_J| comes first; the enumeration must stop within it and
+reach it exactly.
 """
 
 from __future__ import annotations
@@ -26,9 +28,12 @@ BUDGET_ENV_VAR = "RSPACES_ORBIT_BUDGET"
 
 
 def default_budget() -> int:
-    """Element cap for orbit enumeration; override with RSPACES_ORBIT_BUDGET."""
+    """Point cap for orbit enumeration; override with RSPACES_ORBIT_BUDGET."""
     raw = os.environ.get(BUDGET_ENV_VAR)
-    return int(raw) if raw else DEFAULT_ORBIT_BUDGET
+    budget = int(raw) if raw else DEFAULT_ORBIT_BUDGET
+    if budget <= 0:
+        raise ValueError(f"{BUDGET_ENV_VAR} must be positive, got {raw!r}")
+    return budget
 
 
 def xi_vector(I: IndexSet, rank: int) -> CoweightVector:
@@ -114,54 +119,38 @@ def stabilizer_order(system: RootSystem, I: IndexSet) -> int:
 
 
 def _orbit_bfs(
-    system: RootSystem, start: CoweightVector, budget: int, keep_elements: bool
-) -> tuple[int, np.ndarray | None]:
-    """Exact orbit size by descending level BFS; optionally all points.
+    system: RootSystem, start: CoweightVector, limit: int, keep_elements: bool
+) -> tuple[list[int], np.ndarray | None]:
+    """Level sizes of the orbit of a dominant start; optionally all its points.
 
-    From a dominant start, applying s_j only where v_j > 0 strictly increases
-    the distance from the dominant chamber, so levels never collide and a
-    per-level unique pass suffices for global deduplication.
+    The orbit is a tree rooted at the dominant point: every other point u has
+    exactly one parent s_k u, where k is the least index with u_k < 0.  So
+    from v the child s_j v is kept only if v_j > 0 and the child's
+    coordinates before j are all >= 0.  Level n holds the minimal coset
+    representatives of length n, no point is produced twice, and only the
+    current level and the next are held unless the points are kept.  `limit`
+    is the predicted orbit size: passing it means the rule is wrong.
     """
-    r = system.rank
     cols = np.array(system.cartan, dtype=np.int16).T.copy()  # cols[j] = C[:, j]
     level = np.array([start], dtype=np.int16)
-    total = 0
+    sizes: list[int] = []
     collected: list[np.ndarray] = []
-    while level.size:
-        total += len(level)
-        if total > budget:
-            raise MemoryError(f"orbit exceeds enumeration budget {budget}")
+    while len(level):
+        sizes.append(len(level))
+        if sum(sizes) > limit:
+            raise AssertionError(f"orbit enumeration passed the predicted {limit} points")
         if keep_elements:
             collected.append(level)
-        parts = []
-        for j in range(r):
-            mask = level[:, j] > 0
-            if mask.any():
-                sel = level[mask]
-                parts.append(sel - np.outer(sel[:, j], cols[j]))
-        if not parts:
-            break
-        stacked = np.vstack(parts)
-        level = _unique_rows(stacked)
-    if keep_elements:
-        points = np.vstack(collected)
-        points = points[np.lexsort(points.T[::-1])]
-        return total, points
-    return total, None
-
-
-def _unique_rows(arr: np.ndarray) -> np.ndarray:
-    """Deduplicate int16 rows; packs into int64 keys when coordinates permit."""
-    r = arr.shape[1]
-    if r * 7 <= 63:
-        lo = int(arr.min())
-        hi = int(arr.max())
-        if -64 <= lo and hi < 64:
-            shifts = np.arange(r, dtype=np.int64) * 7
-            keys = ((arr.astype(np.int64) + 64) << shifts).sum(axis=1)
-            _, idx = np.unique(keys, return_index=True)
-            return arr[idx]
-    return np.unique(arr, axis=0)
+        children = []
+        for j in range(system.rank):
+            sel = level[level[:, j] > 0]
+            child = sel - np.outer(sel[:, j], cols[j])
+            children.append(child[(child[:, :j] >= 0).all(axis=1)])
+        level = np.vstack(children)
+    if not keep_elements:
+        return sizes, None
+    points = np.vstack(collected)
+    return sizes, points[np.lexsort(points.T[::-1])]
 
 
 def orbit(
@@ -174,17 +163,17 @@ def orbit(
     """Weyl orbit of xi_I: by the order formula, by BFS, or both.
 
     With enumerate=True the BFS runs and must agree with the quotient
-    |W| / |stabilizer|; orbits larger than the budget fall back to the
-    formula with budget_exceeded set.  keep_elements materializes the
-    lexicographically sorted point list (implies enumerate).
+    |W| / |stabilizer|.  The budget caps the orbit's total points and is
+    compared with that quotient before any enumeration: larger orbits fall
+    back to the formula with budget_exceeded set.  Only enumeration reads
+    RSPACES_ORBIT_BUDGET, when no budget is given.  keep_elements
+    materializes the lexicographically sorted point list (implies enumerate).
     """
     if not I:
         raise ValueError("index set must be non-empty")
     if I.mask >> system.rank:
         raise ValueError(f"index set {I} exceeds rank {system.rank}")
-    if budget is None:
-        budget = default_budget()
-    if budget <= 0:
+    if budget is not None and budget <= 0:
         raise ValueError("budget must be positive")
     w = weyl_group_order(system.type)
     stab = stabilizer_order(system, I)
@@ -194,9 +183,12 @@ def orbit(
     enumerate = enumerate or keep_elements
     if not enumerate:
         return OrbitResult(predicted, w, stab, "order_formula")
+    if budget is None:
+        budget = default_budget()
     if predicted > budget:
         return OrbitResult(predicted, w, stab, "order_formula", budget_exceeded=True)
-    size, points = _orbit_bfs(system, xi_vector(I, system.rank), budget, keep_elements)
+    sizes, points = _orbit_bfs(system, xi_vector(I, system.rank), predicted, keep_elements)
+    size = sum(sizes)
     if size != predicted:
         raise AssertionError(
             f"orbit enumeration found {size} points but |W|/|W_I| = {predicted}"

@@ -50,6 +50,26 @@ def test_criterion_07_weyl_order_cross_validation():
     _run(verify.criterion_7_weyl_orders)
 
 
+@pytest.mark.parametrize("raw", ["1", "abc"])
+def test_criterion_07_ignores_budget_env(monkeypatch, raw):
+    """RSPACES_ORBIT_BUDGET neither skips nor breaks the enumeration criteria."""
+    monkeypatch.setenv("RSPACES_ORBIT_BUDGET", raw)
+    result = verify.criterion_7_weyl_orders()
+    assert result.passed, result.line()
+    assert result.detail.endswith(
+        "A1, A2, A3, A4, A5, A6, A7, A8, B2, B3, B4, B5, B6, B7, C2, C3, C4, C5, C6, C7, "
+        "D4, D5, D6, D7, E6, E7, F4, G2"
+    )
+
+
+def test_criterion_07_requires_enumeration(monkeypatch):
+    """A regular orbit answered by the order formula alone fails the criterion."""
+    formula_only = verify.ant.orbit
+    monkeypatch.setattr(verify.ant, "orbit", lambda system, I, **_: formula_only(system, I))
+    result = verify.criterion_7_weyl_orders()
+    assert not result.passed and "not enumerated" in result.detail
+
+
 def test_criterion_08_subgroup_maximality():
     """Every triple forces the subgroup inside Gamma^I with I admissible (rank <= 4)."""
     _run(verify.criterion_8_maximality)

@@ -7,6 +7,7 @@ import pytest
 
 from rspaces.admissible import IndexSet, enumerate_admissible
 from rspaces.antipodal import (
+    _orbit_bfs,
     elements_to_bytes,
     orbit,
     reflect,
@@ -24,29 +25,62 @@ def rst(fam, r):
 
 
 def naive_orbit(system, start):
-    """Plain BFS applying every reflection with a global seen-set; oracle."""
+    """Plain BFS applying every reflection with a global seen-set; oracle.
+
+    Returns the BFS levels: level n holds the points at distance n from start.
+    """
     seen = {start}
-    frontier = [start]
-    while frontier:
+    levels = [[start]]
+    while levels[-1]:
         nxt = []
-        for v in frontier:
+        for v in levels[-1]:
             for j in range(1, system.rank + 1):
                 w = reflect(v, j, system)
                 if w not in seen:
                     seen.add(w)
                     nxt.append(w)
-        frontier = nxt
-    return seen
+        levels.append(nxt)
+    return levels[:-1]
+
+
+def poincare(roots):
+    """Coefficients of prod [ht a + 1]_t / [ht a]_t, where [n]_t = 1 + t + ... + t^(n-1).
+
+    Over all positive roots this is the Poincare polynomial W(t) of the Weyl
+    group (Macdonald 1972); over the roots not vanishing on I it is
+    W(t) / W_J(t), whose coefficient n counts the minimal coset
+    representatives of length n.  The division is exact integer long
+    division by a monic polynomial, asserted to leave no remainder.
+    """
+
+    def times(poly, n):  # poly * [n]_t
+        out = [0] * (len(poly) + n - 1)
+        for i, c in enumerate(poly):
+            for k in range(n):
+                out[i + k] += c
+        return out
+
+    num = den = [1]
+    for root in roots:
+        num = times(num, sum(root) + 1)
+        den = times(den, sum(root))
+    quotient = [0] * (len(num) - len(den) + 1)
+    for i in reversed(range(len(quotient))):
+        quotient[i] = c = num[i + len(den) - 1]
+        for k, d in enumerate(den):
+            num[i + k] -= c * d
+    assert not any(num)
+    return quotient
 
 
 def height_product(roots):
     """prod (ht a + 1) / ht a over the given roots; the Weyl order of their system."""
-    num = den = 1
-    for root in roots:
-        num *= sum(root) + 1
-        den *= sum(root)
-    assert num % den == 0
-    return num // den
+    return sum(poincare(roots))
+
+
+def odd_roots(system):
+    """Positive roots with an odd coefficient: all of them but BC's doubled 2e_i."""
+    return [root for root, (odd, _) in zip(system.positive_roots, system.parity_masks) if odd]
 
 
 # ---------------------------------------------------------------------------
@@ -97,10 +131,12 @@ def test_orbit_matches_naive_bfs(fam, r):
     system = build(rst(fam, r))
     for m in (1, (1 << r) - 1, 1 << (r // 2)):
         I = IndexSet(m)
-        expected = naive_orbit(system, xi_vector(I, r))
+        levels = naive_orbit(system, xi_vector(I, r))
         res = orbit(system, I, keep_elements=True)
-        assert res.size == len(expected)
-        assert set(res.elements) == expected
+        assert res.size == sum(map(len, levels))
+        assert set(res.elements) == set().union(*levels)
+        sizes, _ = _orbit_bfs(system, xi_vector(I, r), res.size, keep_elements=False)
+        assert sizes == [len(level) for level in levels]
 
 
 def test_orbit_examples():
@@ -146,12 +182,26 @@ def test_orbit_elements_sorted_unique_with_one_dominant():
         assert dominant == [xi_vector(I, 3)]
 
 
-def test_orbit_coordinate_bound():
-    system = build(rst("F", 4))
-    I = IndexSet.full(4)
-    bound = max(sum(root[j] for j in range(4) if (j + 1) in I) for root in system.positive_roots)
-    res = orbit(system, I, keep_elements=True)
-    assert all(abs(c) <= bound for v in res.elements for c in v)
+@pytest.mark.parametrize("fam,r", [("F", 4), ("E", 6), ("C", 4), ("BC", 3), ("G", 2)])
+def test_orbit_coordinate_bound(fam, r):
+    # a coordinate alpha_j(w xi_I) is the partial height over I of the root w^-1 alpha_j,
+    # so the largest |coordinate| is the partial height over I of the highest odd root
+    system = build(rst(fam, r))
+    highest = max(odd_roots(system), key=sum)
+    for m in range(1, 1 << r):
+        I = IndexSet(m)
+        size = orbit(system, I).size
+        _, points = _orbit_bfs(system, xi_vector(I, r), size, keep_elements=True)
+        assert int(np.abs(points).max()) == sum(highest[j - 1] for j in I)
+
+
+def test_root_heights_fit_int16():
+    # the coordinate bound above is at most the largest root height: 29 (E8), or 2r for BC_r
+    heights = {t: max(map(sum, build(t).positive_roots)) for t in standard_types()}
+    assert len(heights) == 40
+    assert max(h for t, h in heights.items() if t.family != "BC") == 29
+    assert all(h == 2 * t.rank for t, h in heights.items() if t.family == "BC")
+    assert max(heights.values()) <= 29 < np.iinfo(np.int16).max
 
 
 def test_orbit_rejects_empty_or_oversized():
@@ -216,9 +266,29 @@ def test_stabilizer_via_subdiagram_types():
 
 @pytest.mark.parametrize("t", standard_types(), ids=str)
 def test_height_product_is_weyl_order(t):
-    system = build(t)
-    roots = [root for root, (odd, _) in zip(system.positive_roots, system.parity_masks) if odd]
-    assert height_product(roots) == weyl_group_order(t)
+    assert height_product(odd_roots(build(t))) == weyl_group_order(t)
+
+
+POINCARE_TYPES = (
+    [("A", r) for r in range(1, 7)]
+    + [(fam, r) for fam in ("B", "C") for r in range(2, 6)]
+    + [("D", r) for r in range(4, 7)]
+    + [("E", 6), ("F", 4), ("G", 2)]
+    + [("BC", r) for r in range(1, 6)]
+)
+
+
+@pytest.mark.parametrize("fam,r", POINCARE_TYPES)
+def test_orbit_levels_are_poincare_coefficients(fam, r):
+    # level n of the tree holds the minimal coset representatives of length n;
+    # every orbit here has at most |W(E6)| = 51,840 points
+    system = build(rst(fam, r))
+    for m in range(1, 1 << r):
+        I = IndexSet(m)
+        size = orbit(system, I).size
+        sizes, _ = _orbit_bfs(system, xi_vector(I, r), size, keep_elements=False)
+        moving = [root for root in odd_roots(system) if any(root[j - 1] for j in I)]
+        assert sizes == poincare(moving)
 
 
 def test_stabilizer_matches_naive_orbit_quotient():

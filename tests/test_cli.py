@@ -183,6 +183,8 @@ def test_orbit_budget_env_malformed(monkeypatch, capsys, raw):
     monkeypatch.setenv("RSPACES_ORBIT_BUDGET", raw)
     code, _, _ = run(capsys, "classify", "G", "2")  # other subcommands ignore the budget
     assert code == 0
+    code, out, _ = run(capsys, "two-number", "A", "4", "--set", "2")
+    assert code == 0 and out.startswith("two-number of X_{2} in A4: 10\n")
     assert run_expecting_usage_error("orbit", "A", "3", "--set", "1") == 2
     err = capsys.readouterr().err
     assert err.count("error:") == 1 and "RSPACES_ORBIT_BUDGET" in err
