@@ -31,7 +31,6 @@ from .antipodal import (
 )
 from .gamma import (
     FixedRootSet,
-    GammaElement,
     GammaSubgroup,
     fixed_root_set,
     gamma_full,
@@ -58,7 +57,6 @@ __all__ = [
     "ClassificationReport",
     "CoweightVector",
     "FixedRootSet",
-    "GammaElement",
     "GammaSubgroup",
     "IndexSet",
     "OrbitResult",

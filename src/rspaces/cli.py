@@ -10,7 +10,8 @@ Commands
 
 Index sets are 1-based comma lists in Bourbaki numbering, matching all output.
 Exit codes: 0 success, 1 internal discrepancy, 2 usage error, 3 enumeration
-budget exceeded under --strict.
+budget exceeded under --strict, 141 stdout closed by its reader (the code a
+shell reports for a writer killed by SIGPIPE).
 """
 
 from __future__ import annotations
@@ -114,14 +115,10 @@ def _orbit_payload(
         "set": list(I),
         "admissible": admissible,
         "two_number": res.size if admissible else None,
-        "size": res.size,
-        "weyl_order": res.weyl_order,
-        "stabilizer_order": res.stabilizer_order,
-        "method": res.method,
-        "budget_exceeded": res.budget_exceeded,
+        **res.to_dict(),
     }
-    if include_elements and res.elements is not None:
-        payload["elements"] = [list(v) for v in res.elements]
+    if not include_elements:
+        payload.pop("elements", None)
     return payload
 
 
@@ -176,15 +173,14 @@ def _cmd_orbit(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
 
 
 def _subgroup_analysis(system: RootSystem, I: IndexSet, sub: gam.GammaSubgroup) -> dict:
-    triple = gam.is_triple(system, I, sub)
-    witness = None if triple else gam.triple_witness(system, I, sub)
+    witness = gam.triple_witness(system, I, sub)
     return {
         "family": system.type.family,
         "rank": system.type.rank,
         "set": list(I),
         "subgroup_basis": [list(IndexSet(b)) for b in sub.basis],
         "subgroup_order": sub.order,
-        "is_triple": triple,
+        "is_triple": witness is None,
         "fixed_roots": len(gam.fixed_root_set(system, sub)),
         "witness": list(witness) if witness else None,
     }
@@ -351,7 +347,15 @@ def make_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = make_parser()
     args = parser.parse_args(argv)
-    return args.fn(parser, args)
+    try:
+        code = args.fn(parser, args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader is gone: point fd 1 at devnull so that the flush at
+        # interpreter exit cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
+    return code
 
 
 if __name__ == "__main__":

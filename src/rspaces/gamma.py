@@ -18,23 +18,6 @@ from .admissible import IndexSet, is_admissible
 from .roots import Root, RootSystem
 
 
-@dataclass(frozen=True)
-class GammaElement:
-    """Group element gamma^J, identified by its label set J (empty = identity)."""
-
-    J: IndexSet = IndexSet(0)
-
-    def __mul__(self, other: "GammaElement") -> "GammaElement":
-        return GammaElement(self.J ^ other.J)
-
-    @property
-    def is_identity(self) -> bool:
-        return not self.J
-
-    def __str__(self) -> str:
-        return "e" if self.is_identity else "*".join(f"g{j}" for j in self.J)
-
-
 def _reduced_echelon(masks: Iterable[int]) -> tuple[int, ...]:
     """Reduced GF(2) row-echelon basis; pivot = lowest set bit, rows sorted by pivot."""
     rows: dict[int, int] = {}
@@ -52,7 +35,7 @@ def _reduced_echelon(masks: Iterable[int]) -> tuple[int, ...]:
         for q in pivots:
             if q != p and rows[q] & p:
                 rows[q] ^= rows[p]
-    return tuple(rows[p] for p in sorted(rows))
+    return tuple(rows[p] for p in pivots)
 
 
 def _in_span(mask: int, basis: tuple[int, ...]) -> bool:
@@ -66,12 +49,23 @@ def _in_span(mask: int, basis: tuple[int, ...]) -> bool:
 
 @dataclass(frozen=True)
 class GammaSubgroup:
-    """A GF(2)-linear subgroup, canonicalized by its reduced echelon basis."""
+    """A GF(2)-linear subgroup, given by its reduced echelon basis sorted by pivot.
+
+    That basis is unique to the subspace, so two subgroups are equal, and hash
+    equally, exactly when they are the same subgroup.  Build one with
+    subgroup_span, gamma_full or all_subgroups, which all keep the basis reduced.
+    """
 
     rank: int
-    generators: tuple[GammaElement, ...]
     basis: tuple[int, ...]
-    elements: tuple[IndexSet, ...]
+
+    @property
+    def elements(self) -> tuple[IndexSet, ...]:
+        """All 2^dim element labels, sorted by mask."""
+        elems = [0]
+        for b in self.basis:
+            elems += [e ^ b for e in elems]
+        return tuple(IndexSet(m) for m in sorted(elems))
 
     @property
     def dim(self) -> int:
@@ -97,16 +91,7 @@ def subgroup_span(generators: list[IndexSet] | tuple[IndexSet, ...], rank: int) 
     for g in generators:
         if g.mask >> rank:
             raise ValueError(f"generator {g} exceeds rank {rank}")
-    basis = _reduced_echelon(g.mask for g in generators)
-    elems = [0]
-    for b in basis:
-        elems += [e ^ b for e in elems]
-    return GammaSubgroup(
-        rank,
-        tuple(GammaElement(g) for g in generators),
-        basis,
-        tuple(IndexSet(m) for m in sorted(elems)),
-    )
+    return GammaSubgroup(rank, _reduced_echelon(g.mask for g in generators))
 
 
 def gamma_full(I: IndexSet, rank: int) -> GammaSubgroup:
@@ -117,8 +102,10 @@ def gamma_full(I: IndexSet, rank: int) -> GammaSubgroup:
 def all_subgroups(rank: int) -> Iterator[GammaSubgroup]:
     """Every GF(2) subgroup of the rank-r involution group, echelon-enumerated.
 
-    Each subspace appears exactly once via its unique reduced echelon basis;
-    deterministic order by (dimension, pivot set, free bits).
+    Each subspace appears exactly once via its unique reduced echelon basis:
+    row p has its pivot at bit p and free bits only at later non-pivot
+    positions, so the rows are reduced as built.  Deterministic order by
+    (dimension, pivot set, free bits).
     """
     for k in range(rank + 1):
         for pivots in combinations(range(rank), k):
@@ -135,7 +122,7 @@ def all_subgroups(rank: int) -> Iterator[GammaSubgroup]:
                             m |= 1 << q
                         off += 1
                     rows.append(m)
-                yield subgroup_span([IndexSet(m) for m in rows], rank)
+                yield GammaSubgroup(rank, tuple(rows))
 
 
 @dataclass(frozen=True)
@@ -146,9 +133,6 @@ class FixedRootSet:
 
     def __len__(self) -> int:
         return len(self.roots)
-
-    def __contains__(self, root: Root) -> bool:
-        return tuple(root) in set(self.roots)
 
 
 def _even_on_basis(odd_mask: int, basis: tuple[int, ...]) -> bool:
@@ -170,9 +154,10 @@ def fixed_root_set(system: RootSystem, subgroup: GammaSubgroup) -> FixedRootSet:
 
 def fixed_root_set_by_definition(system: RootSystem, subgroup: GammaSubgroup) -> FixedRootSet:
     """Same set computed literally over every subgroup element; test oracle."""
+    elements = [J.mask for J in subgroup.elements]
     keep = []
     for root, (odd, _) in zip(system.positive_roots, system.parity_masks):
-        if all((odd & J.mask).bit_count() % 2 == 0 for J in subgroup.elements):
+        if all((odd & m).bit_count() % 2 == 0 for m in elements):
             keep.append(root)
     return FixedRootSet(tuple(keep))
 
@@ -187,11 +172,7 @@ def is_triple(system: RootSystem, I: IndexSet, subgroup: GammaSubgroup) -> bool:
     """Whether the subgroup's fixed root set equals the roots vanishing on I."""
     if not I:
         raise ValueError("index set must be non-empty")
-    m = I.mask
-    for odd, sup in system.parity_masks:
-        if _even_on_basis(odd, subgroup.basis) != (not sup & m):
-            return False
-    return True
+    return triple_witness(system, I, subgroup) is None
 
 
 def triple_witness(
@@ -223,12 +204,10 @@ def verify_maximality_proposition(system: RootSystem, max_rank: int = 4) -> bool
     for m in range(1, 1 << r):
         I = IndexSet(m)
         admissible = is_admissible(system, I)
+        full = gamma_full(I, r)
         for sub in subgroups:
-            if is_triple(system, I, sub):
-                if not all(J.issubset(I) for J in sub.elements):
-                    return False
-                if not admissible:
-                    return False
+            if is_triple(system, I, sub) and not (admissible and sub.issubgroup_of(full)):
+                return False
     return True
 
 
@@ -246,17 +225,15 @@ def minimal_triple_subgroups(
     k = len(positions)
     if k > max_dim:
         raise ValueError(f"|I| = {k} exceeds the subspace-enumeration bound {max_dim}")
-    triples: list[GammaSubgroup] = []
+    # Bit t of a rank-k mask stands for index positions[t]; that map keeps bit
+    # order, so a lifted reduced echelon basis is still reduced and sorted.
+    lift = [0]
+    for p in positions:
+        lift += [m | 1 << (p - 1) for m in lift]
+    triples = []
     for small in all_subgroups(k):
-        lifted = [
-            IndexSet.from_iterable(positions[t - 1] for t in J) for J in small.elements
-        ]
-        sub = subgroup_span(lifted, system.rank)
+        sub = GammaSubgroup(system.rank, tuple(lift[b] for b in small.basis))
         if is_triple(system, I, sub):
             triples.append(sub)
-    minimal = [
-        s
-        for s in triples
-        if not any(t is not s and t.issubgroup_of(s) and t.basis != s.basis for t in triples)
-    ]
+    minimal = [s for s in triples if not any(t != s and t.issubgroup_of(s) for t in triples)]
     return sorted(minimal, key=lambda s: (s.dim, s.basis))

@@ -1,6 +1,9 @@
 """Command-line surface: outputs, determinism, exit codes, golden docs."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -92,6 +95,49 @@ def test_orbit_dump(tmp_path, capsys):
     assert code == 0
     data = np.frombuffer(dump.read_bytes(), dtype="<i2").reshape(-1, 2)
     assert [tuple(v) for v in data.tolist()] == [(-1, 1), (0, -1), (1, 0)]
+
+
+def test_orbit_json_fields(capsys, tmp_path):
+    base = ("orbit", "A", "2", "--set", "1", "--format", "json")
+    keys = {
+        "family", "rank", "set", "admissible", "two_number",
+        "size", "weyl_order", "stabilizer_order", "method", "budget_exceeded",
+    }
+    _, out, _ = run(capsys, *base)
+    assert set(json.loads(out)) == keys
+    # points kept for --dump stay out of the JSON unless --elements asks for them
+    _, out, _ = run(capsys, *base, "--dump", str(tmp_path / "orbit.bin"))
+    assert set(json.loads(out)) == keys
+    _, out, _ = run(capsys, *base, "--elements")
+    assert json.loads(out)["elements"] == [[-1, 1], [0, -1], [1, 0]]
+
+
+def test_two_number_not_admissible_message(capsys):
+    from rspaces import IndexSet, RootSystemType, build, two_number
+
+    assert run_expecting_usage_error("two-number", "B", "3", "--set", "2") == 2
+    err = capsys.readouterr().err
+    with pytest.raises(ValueError) as info:
+        two_number(build(RootSystemType("B", 3)), IndexSet.of(2))
+    assert err.count("error:") == 1 and f"error: {info.value}\n" in err
+
+
+def test_closed_stdout_exits_141_quietly():
+    # about 1.3 MB of points, more than a pipe buffer holds, so the CLI is
+    # still writing when the reader goes away
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "rspaces.cli", "orbit", "E", "6", "--set", "1,2,3,4,5,6",
+         "--elements"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert proc.stdout.readline().startswith(b"orbit of xi_{1,2,3,4,5,6} in E6: 51840 points")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 141
+    assert err == b""
 
 
 def test_orbit_budget_exceeded_not_strict(capsys):

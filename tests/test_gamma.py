@@ -1,12 +1,14 @@
 """Involution subgroups, fixed root sets, and the triple criterion."""
 
+from dataclasses import fields
 from itertools import combinations
 
 import pytest
 
-from rspaces.admissible import IndexSet, is_admissible
+from rspaces.admissible import IndexSet, enumerate_admissible, is_admissible
 from rspaces.gamma import (
-    GammaElement,
+    GammaSubgroup,
+    _reduced_echelon,
     all_subgroups,
     fixed_root_set,
     fixed_root_set_by_definition,
@@ -29,14 +31,13 @@ def rst(fam, r):
 # group elements and spans
 
 
-def test_gamma_element_product_is_symmetric_difference():
-    a = GammaElement(IndexSet.of(1, 3))
-    b = GammaElement(IndexSet.of(2, 3))
-    assert (a * b).J == IndexSet.of(1, 2)
-    assert (a * a).J == IndexSet(0)
-    assert (a * GammaElement()).J == a.J
-    assert GammaElement().is_identity
-    assert str(a) == "g1*g3" and str(GammaElement()) == "e"
+def test_subgroup_is_its_reduced_basis():
+    assert [f.name for f in fields(GammaSubgroup)] == ["rank", "basis"]
+    a = subgroup_span([IndexSet.of(1, 3), IndexSet.of(2)], 3)
+    b = subgroup_span([IndexSet.of(1, 2, 3), IndexSet.of(2)], 3)
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a.basis == (0b101, 0b010)
+    assert a != subgroup_span([IndexSet.of(1, 3), IndexSet.of(2)], 4)
 
 
 def test_distinct_labels_give_distinct_elements():
@@ -88,6 +89,13 @@ def test_all_subgroups_counts():
     # each subspace exactly once: canonical bases are pairwise distinct
     bases = [s.basis for s in all_subgroups(4)]
     assert len(set(bases)) == len(bases)
+
+
+@pytest.mark.parametrize("r", range(1, 6))
+def test_all_subgroups_bases_are_reduced(r):
+    for sub in all_subgroups(r):
+        assert _reduced_echelon(sub.basis) == sub.basis
+        assert sub == subgroup_span(sub.elements, r)
 
 
 # ---------------------------------------------------------------------------
@@ -229,8 +237,42 @@ def test_minimal_triple_subgroups_are_minimal_and_triples():
         assert all(J.issubset(I) for J in sub.elements)
     for a in mins:
         for b in mins:
-            if a.basis != b.basis:
+            if a != b:
                 assert not a.issubgroup_of(b)
+
+
+def brute_force_minimal_triples(system, I):
+    """Lift every element of every subgroup of F_2^|I|, span, test by definition."""
+    positions = list(I)
+    vanishing = roots_vanishing_on(system, I)
+    triples = []
+    for small in all_subgroups(len(positions)):
+        lifted = [
+            IndexSet.from_iterable(positions[t - 1] for t in J) for J in small.elements
+        ]
+        sub = subgroup_span(lifted, system.rank)
+        if fixed_root_set_by_definition(system, sub) == vanishing:
+            triples.append(frozenset(J.mask for J in sub.elements))
+    return {s for s in triples if not any(t < s for t in triples)}
+
+
+@pytest.mark.parametrize("fam,r", [("A", 4), ("C", 4), ("D", 5), ("B", 7)])
+def test_minimal_triple_subgroups_match_brute_force(fam, r):
+    system = build(rst(fam, r))
+    n_sets = 0
+    for I in enumerate_admissible(system):
+        if len(I) > 6:
+            continue
+        mins = minimal_triple_subgroups(system, I)
+        assert {frozenset(J.mask for J in s.elements) for s in mins} == (
+            brute_force_minimal_triples(system, I)
+        )
+        assert len(set(mins)) == len(mins)
+        assert mins == sorted(mins, key=lambda s: (s.dim, s.basis))
+        for s in mins:
+            assert s.basis == _reduced_echelon(J.mask for J in s.elements)
+        n_sets += 1
+    assert n_sets > 0
 
 
 def test_minimal_triple_subgroups_requires_admissible():
