@@ -126,31 +126,49 @@ def _orbit_bfs(
     The orbit is a tree rooted at the dominant point: every other point u has
     exactly one parent s_k u, where k is the least index with u_k < 0.  So
     from v the child s_j v is kept only if v_j > 0 and the child's
-    coordinates before j are all >= 0.  Level n holds the minimal coset
-    representatives of length n, no point is produced twice, and only the
-    current level and the next are held unless the points are kept.  `limit`
-    is the predicted orbit size: passing it means the rule is wrong.
+    coordinates before j are all >= 0.  Those coordinates are v_k for k not
+    adjacent to j in the Dynkin diagram and v_k - C[k][j] * v_j for its
+    neighbours, so the test reads only the parent: no negative coordinate
+    before j but at neighbours, and each neighbour lifted to >= 0.  Only kept
+    children are built.  Level n holds the minimal coset representatives of
+    length n, stored rank-major (one row per coordinate), no point is
+    produced twice, and only the current level and the next are held unless
+    the points are kept.  `limit` is the predicted orbit size: passing it
+    means the rule is wrong.
     """
-    cols = np.array(system.cartan, dtype=np.int16).T.copy()  # cols[j] = C[:, j]
-    level = np.array([start], dtype=np.int16)
+    cartan = system.cartan
+    cols = np.array(cartan, dtype=np.int16).T[:, :, None].copy()  # cols[j] = C[:, j], a column
+    # lifts[j]: (k, -C[k][j]) for each neighbour k < j of node j
+    lifts = [[(k, -cartan[k][j]) for k in range(j) if cartan[k][j]] for j in range(system.rank)]
+    level = np.array(start, dtype=np.int16).reshape(-1, 1)
     sizes: list[int] = []
     collected: list[np.ndarray] = []
-    while len(level):
-        sizes.append(len(level))
+    while level.shape[1]:
+        sizes.append(level.shape[1])
         if sum(sizes) > limit:
             raise AssertionError(f"orbit enumeration passed the predicted {limit} points")
         if keep_elements:
             collected.append(level)
+        neg = level < 0
+        prior = np.zeros(level.shape[1], dtype=np.int16)  # negative coordinates before j
         children = []
-        for j in range(system.rank):
-            sel = level[level[:, j] > 0]
-            child = sel - np.outer(sel[:, j], cols[j])
-            children.append(child[(child[:, :j] >= 0).all(axis=1)])
-        level = np.vstack(children)
+        for j, lift in enumerate(lifts):
+            vj = level[j]
+            keep = vj > 0
+            stray = prior  # negatives before j away from its neighbours
+            for k, m in lift:
+                keep &= level[k] + m * vj >= 0
+                stray = stray - neg[k]
+            keep &= stray == 0
+            prior = prior + neg[j]
+            child = np.compress(keep, level, axis=1)
+            child -= cols[j] * child[j]
+            children.append(child)
+        level = np.concatenate(children, axis=1)
     if not keep_elements:
         return sizes, None
-    points = np.vstack(collected)
-    return sizes, points[np.lexsort(points.T[::-1])]
+    points = np.concatenate(collected, axis=1)
+    return sizes, points.T[np.lexsort(points[::-1])]
 
 
 def orbit(

@@ -268,6 +268,7 @@ def _cmd_verify_all(parser: argparse.ArgumentParser, args: argparse.Namespace) -
                     "name": r.name,
                     "passed": r.passed,
                     "detail": r.detail,
+                    "elapsed_s": round(r.elapsed, 3),
                 }
                 for r in results
             ]

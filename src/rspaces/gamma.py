@@ -53,11 +53,25 @@ class GammaSubgroup:
 
     That basis is unique to the subspace, so two subgroups are equal, and hash
     equally, exactly when they are the same subgroup.  Build one with
-    subgroup_span, gamma_full or all_subgroups, which all keep the basis reduced.
+    subgroup_span, gamma_full or all_subgroups; a basis given directly must
+    already be reduced, or construction raises ValueError.
     """
 
     rank: int
     basis: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        # Scanned from the last row: with increasing pivots, only the pivots
+        # of later rows can appear in a row above its own lowest bit.
+        later = 0  # pivot bits of the rows after this one
+        for b in reversed(self.basis):
+            if not b or b >> self.rank:
+                raise ValueError(f"basis row {b:#b} is zero or exceeds rank {self.rank}")
+            if later and b & -b >= later & -later:
+                raise ValueError("basis pivots (lowest set bits) must strictly increase")
+            if b & later:
+                raise ValueError("basis is not reduced: a pivot bit appears in another row")
+            later |= b & -b
 
     @property
     def elements(self) -> tuple[IndexSet, ...]:

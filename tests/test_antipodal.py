@@ -43,6 +43,29 @@ def naive_orbit(system, start):
     return levels[:-1]
 
 
+def tree_bfs_by_rule(system, start):
+    """The orbit tree built child-first, then filtered by the parent rule; oracle.
+
+    Every child s_j v with v_j > 0 is built in full, and kept only if its
+    coordinates before j are all >= 0.  Returns the level sizes and the
+    lexicographically sorted int16 points.
+    """
+    cols = np.array(system.cartan, dtype=np.int16).T.copy()  # cols[j] = C[:, j]
+    level = np.array([start], dtype=np.int16)
+    sizes, collected = [], []
+    while len(level):
+        sizes.append(len(level))
+        collected.append(level)
+        children = []
+        for j in range(system.rank):
+            sel = level[level[:, j] > 0]
+            child = sel - np.outer(sel[:, j], cols[j])
+            children.append(child[(child[:, :j] >= 0).all(axis=1)])
+        level = np.vstack(children)
+    points = np.vstack(collected)
+    return sizes, points[np.lexsort(points.T[::-1])]
+
+
 def poincare(roots):
     """Coefficients of prod [ht a + 1]_t / [ht a]_t, where [n]_t = 1 + t + ... + t^(n-1).
 
@@ -202,6 +225,16 @@ def test_root_heights_fit_int16():
     assert max(h for t, h in heights.items() if t.family != "BC") == 29
     assert all(h == 2 * t.rank for t, h in heights.items() if t.family == "BC")
     assert max(heights.values()) <= 29 < np.iinfo(np.int16).max
+    # the keep test forms v_k + |C[k][j]| * v_j: at most 29 + 3 * 29
+    lift = max(-c for t in standard_types() for row in build(t).cartan for c in row)
+    assert lift == 3
+    assert max(heights.values()) * (1 + lift) < np.iinfo(np.int16).max
+
+
+def test_orbit_beyond_rank_64():
+    # the keep test counts negative coordinates, so no 64-bit mask limits the rank
+    res = orbit(build(rst("A", 64)), IndexSet.of(1, 64), enumerate=True)
+    assert res.size == 65 * 64 and res.method == "both"
 
 
 def test_orbit_rejects_empty_or_oversized():
@@ -289,6 +322,20 @@ def test_orbit_levels_are_poincare_coefficients(fam, r):
         sizes, _ = _orbit_bfs(system, xi_vector(I, r), size, keep_elements=False)
         moving = [root for root in odd_roots(system) if any(root[j - 1] for j in I)]
         assert sizes == poincare(moving)
+
+
+@pytest.mark.parametrize("fam,r", POINCARE_TYPES)
+def test_orbit_bfs_matches_tree_rule_oracle(fam, r):
+    # deciding each child from its parent keeps exactly the children that
+    # building every child and filtering it keeps, level by level
+    system = build(rst(fam, r))
+    for m in range(1, 1 << r):
+        start = xi_vector(IndexSet(m), r)
+        want_sizes, want_points = tree_bfs_by_rule(system, start)
+        sizes, points = _orbit_bfs(system, start, sum(want_sizes), keep_elements=True)
+        assert sizes == want_sizes
+        assert points.dtype == np.int16 and points.shape == want_points.shape
+        assert points.tobytes() == want_points.tobytes()
 
 
 def test_stabilizer_matches_naive_orbit_quotient():

@@ -253,6 +253,20 @@ def test_verify_all_exit_wiring(monkeypatch, capsys):
     assert "FAIL criterion  2" in out
 
 
+def test_verify_all_json_reports_elapsed(monkeypatch, capsys):
+    import rspaces.cli as cli
+    from rspaces.verify import CriterionResult
+
+    fast = CriterionResult(1, "stub", True, "fine", 0.12345)
+    slow = CriterionResult(2, "stub", True, "fine", 7.0)
+    monkeypatch.setattr(cli, "run_all", lambda: [fast, slow])
+    assert main(["verify-all", "--format", "json"]) == 0
+    rows = json.loads(capsys.readouterr().out)
+    keys = ["criterion", "detail", "elapsed_s", "name", "passed"]
+    assert [sorted(row) for row in rows] == [keys, keys]
+    assert [row["elapsed_s"] for row in rows] == [0.123, 7.0]
+
+
 # ---------------------------------------------------------------------------
 # golden docs stay in sync with the code
 

@@ -40,6 +40,29 @@ def test_subgroup_is_its_reduced_basis():
     assert a != subgroup_span([IndexSet.of(1, 3), IndexSet.of(2)], 4)
 
 
+@pytest.mark.parametrize(
+    "basis",
+    [
+        (0b11, 0b1),  # the span of {1} and {2}, not reduced: pivot 1 recurs
+        (0b10, 0b1),  # pivots decrease
+        (0b1, 0b1),  # a repeated pivot
+        (0b1, 0),  # a zero row
+        (0b1000,),  # a bit at the rank
+        (0b101, 0b100),  # pivot 3 also set in the first row
+    ],
+)
+def test_subgroup_rejects_unreduced_basis(basis):
+    with pytest.raises(ValueError):
+        GammaSubgroup(3, basis)
+
+
+def test_subgroup_accepts_reduced_basis():
+    sub = GammaSubgroup(3, (0b1, 0b10))
+    assert sub == subgroup_span([IndexSet.of(1), IndexSet.of(1, 2)], 3)
+    assert GammaSubgroup(3, ()) == subgroup_span([], 3)
+    assert GammaSubgroup(3, (0b011, 0b100)).elements[-1] == IndexSet.full(3)
+
+
 def test_distinct_labels_give_distinct_elements():
     sub = gamma_full(IndexSet.full(3), 3)
     assert len(set(sub.elements)) == 8
