@@ -128,18 +128,27 @@ def _orbit_bfs(
     from v the child s_j v is kept only if v_j > 0 and the child's
     coordinates before j are all >= 0.  Those coordinates are v_k for k not
     adjacent to j in the Dynkin diagram and v_k - C[k][j] * v_j for its
-    neighbours, so the test reads only the parent: no negative coordinate
-    before j but at neighbours, and each neighbour lifted to >= 0.  Only kept
-    children are built.  Level n holds the minimal coset representatives of
-    length n, stored rank-major (one row per coordinate), no point is
-    produced twice, and only the current level and the next are held unless
-    the points are kept.  `limit` is the predicted orbit size: passing it
-    means the rule is wrong.
+    neighbours, so the test reads only the parent: every negative coordinate
+    before j must be at a neighbour that the lift brings to >= 0.  The test
+    runs for every j of a level at once, as a prefix count of negative
+    coordinates less the lifted neighbours, and only kept children are built,
+    so a level costs a few array operations whatever its rank.  Level n holds
+    the minimal coset representatives of length n, stored rank-major (one row
+    per coordinate), no point is produced twice, and only the current level
+    and the next are held unless the points are kept.  `limit` is the
+    predicted orbit size: passing it means the rule is wrong.
     """
     cartan = system.cartan
-    cols = np.array(cartan, dtype=np.int16).T[:, :, None].copy()  # cols[j] = C[:, j], a column
-    # lifts[j]: (k, -C[k][j]) for each neighbour k < j of node j
-    lifts = [[(k, -cartan[k][j]) for k in range(j) if cartan[k][j]] for j in range(system.rank)]
+    below = [[k for k in range(j) if cartan[k][j]] for j in range(system.rank)]
+    # Slot s pairs node j with its s-th neighbour k < j and the lift -C[k][j].
+    # A node without one is paired with itself, which can discount only v_j,
+    # and v_j of a kept parent is positive.
+    slots = []
+    for s in range(max(map(len, below))):
+        ks = [nb[s] if s < len(nb) else j for j, nb in enumerate(below)]
+        lifts = [-cartan[k][j] for j, k in enumerate(ks)]
+        slots.append((np.array(ks), np.array(lifts, dtype=np.int16)[:, None]))
+    matrix = np.array(cartan, dtype=np.int16)
     level = np.array(start, dtype=np.int16).reshape(-1, 1)
     sizes: list[int] = []
     collected: list[np.ndarray] = []
@@ -150,21 +159,13 @@ def _orbit_bfs(
         if keep_elements:
             collected.append(level)
         neg = level < 0
-        prior = np.zeros(level.shape[1], dtype=np.int16)  # negative coordinates before j
-        children = []
-        for j, lift in enumerate(lifts):
-            vj = level[j]
-            keep = vj > 0
-            stray = prior  # negatives before j away from its neighbours
-            for k, m in lift:
-                keep &= level[k] + m * vj >= 0
-                stray = stray - neg[k]
-            keep &= stray == 0
-            prior = prior + neg[j]
-            child = np.compress(keep, level, axis=1)
-            child -= cols[j] * child[j]
-            children.append(child)
-        level = np.concatenate(children, axis=1)
+        stray = np.cumsum(neg, axis=0, dtype=np.int16)  # negatives up to j
+        for ks, lifts in slots:
+            stray -= neg[ks] & (level[ks] + lifts * level >= 0)
+        js, parents = np.nonzero((level > 0) & (stray == 0))
+        vj = level[js, parents]
+        level = level[:, parents]
+        level -= matrix[:, js] * vj
     if not keep_elements:
         return sizes, None
     points = np.concatenate(collected, axis=1)
