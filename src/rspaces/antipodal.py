@@ -14,12 +14,15 @@ from __future__ import annotations
 
 import math
 import os
+from collections.abc import Sequence
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .admissible import IndexSet, is_admissible
 from .roots import RootSystem, RootSystemType
+
+if TYPE_CHECKING:  # numpy is imported at run time only by the functions that enumerate
+    import numpy as np
 
 CoweightVector = tuple[int, ...]
 
@@ -51,16 +54,67 @@ def reflect(v: CoweightVector, j: int, system: RootSystem) -> CoweightVector:
     return tuple(v[k] - vj * c[k][j - 1] for k in range(r))
 
 
+class OrbitPoints(Sequence):
+    """Sorted orbit points: a read-only sequence of int tuples over one array.
+
+    `array` is the C-contiguous, non-writeable n x r int16 array of the
+    points in lexicographic order.  Indexing and iteration yield tuples,
+    iteration converting a few thousand rows at a time, so the points are
+    never all held as Python objects.  Equality and hashing are those of
+    the tuple of tuples; two OrbitPoints compare by shape and bytes.
+    """
+
+    __slots__ = ("array",)
+    BLOCK = 4096
+
+    def __init__(self, array: np.ndarray) -> None:
+        if array.ndim != 2 or array.dtype != "int16" or not array.flags.c_contiguous:
+            raise ValueError("orbit points must be a C-contiguous n x r int16 array")
+        array.flags.writeable = False
+        self.array = array
+
+    def __len__(self) -> int:
+        return self.array.shape[0]
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(map(tuple, self.array[i].tolist()))
+        return tuple(self.array[i].tolist())
+
+    def __iter__(self):
+        for start in range(0, len(self), self.BLOCK):
+            yield from map(tuple, self.array[start : start + self.BLOCK].tolist())
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, OrbitPoints):
+            a, b = self.array, other.array
+            return a.shape == b.shape and a.tobytes() == b.tobytes()
+        if isinstance(other, tuple):
+            return len(self) == len(other) and tuple(self) == other
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return f"OrbitPoints({len(self)} x {self.array.shape[1]} int16)"
+
+
 @dataclass(frozen=True)
 class OrbitResult:
-    """Size (and optionally the points) of the Weyl orbit of xi_I."""
+    """Size (and optionally the points) of the Weyl orbit of xi_I.
+
+    `level_sizes` counts the enumerated points by tree level, that is by
+    coset-representative length; it is None when no enumeration ran.
+    """
 
     size: int
     weyl_order: int
     stabilizer_order: int
     method: str  # "enumeration", "order_formula", or "both"
-    elements: tuple[CoweightVector, ...] | None = None
+    elements: OrbitPoints | None = None
     budget_exceeded: bool = False
+    level_sizes: tuple[int, ...] | None = None
 
     def to_dict(self) -> dict:
         out = {
@@ -71,7 +125,7 @@ class OrbitResult:
             "budget_exceeded": self.budget_exceeded,
         }
         if self.elements is not None:
-            out["elements"] = [list(v) for v in self.elements]
+            out["elements"] = self.elements.array.tolist()
         return out
 
 
@@ -138,6 +192,8 @@ def _orbit_bfs(
     and the next are held unless the points are kept.  `limit` is the
     predicted orbit size: passing it means the rule is wrong.
     """
+    import numpy as np
+
     cartan = system.cartan
     below = [[k for k in range(j) if cartan[k][j]] for j in range(system.rank)]
     # Slot s pairs node j with its s-th neighbour k < j and the lift -C[k][j].
@@ -169,6 +225,7 @@ def _orbit_bfs(
     if not keep_elements:
         return sizes, None
     points = np.concatenate(collected, axis=1)
+    collected.clear()  # the levels are copied: free them before the sort
     return sizes, points.T[np.lexsort(points[::-1])]
 
 
@@ -186,7 +243,8 @@ def orbit(
     compared with that quotient before any enumeration: larger orbits fall
     back to the formula with budget_exceeded set.  Only enumeration reads
     RSPACES_ORBIT_BUDGET, when no budget is given.  keep_elements
-    materializes the lexicographically sorted point list (implies enumerate).
+    keeps the lexicographically sorted points as OrbitPoints (implies
+    enumerate).
     """
     if not I:
         raise ValueError("index set must be non-empty")
@@ -212,8 +270,8 @@ def orbit(
         raise AssertionError(
             f"orbit enumeration found {size} points but |W|/|W_I| = {predicted}"
         )
-    elements = tuple(map(tuple, points.tolist())) if points is not None else None
-    return OrbitResult(size, w, stab, "both", elements=elements)
+    elements = OrbitPoints(points) if points is not None else None
+    return OrbitResult(size, w, stab, "both", elements=elements, level_sizes=tuple(sizes))
 
 
 def two_number(system: RootSystem, I: IndexSet) -> int:
@@ -232,6 +290,10 @@ def two_number(system: RootSystem, I: IndexSet) -> int:
     return orbit(system, I).size
 
 
-def elements_to_bytes(elements: tuple[CoweightVector, ...]) -> bytes:
+def elements_to_bytes(elements: Sequence[CoweightVector]) -> bytes:
     """Flat little-endian int16 dump of orbit points, row-major, presorted order."""
+    import numpy as np
+
+    if isinstance(elements, OrbitPoints):
+        return elements.array.astype("<i2", copy=False).tobytes()
     return np.array(elements, dtype="<i2").tobytes()

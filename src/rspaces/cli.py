@@ -20,6 +20,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import admissible as adm
@@ -109,7 +110,9 @@ def _orbit_payload(
     system: RootSystem, I: IndexSet, res: ant.OrbitResult, include_elements: bool
 ) -> dict:
     admissible = adm.is_admissible(system, I)
-    payload = {
+    if not include_elements:
+        res = replace(res, elements=None)
+    return {
         "family": system.type.family,
         "rank": system.type.rank,
         "set": list(I),
@@ -117,9 +120,6 @@ def _orbit_payload(
         "two_number": res.size if admissible else None,
         **res.to_dict(),
     }
-    if not include_elements:
-        payload.pop("elements", None)
-    return payload
 
 
 def _cmd_two_number(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:

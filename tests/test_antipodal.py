@@ -1,12 +1,15 @@
 """Weyl orbits, parabolic stabilizers, and antipodal cardinalities."""
 
+import bisect
 import math
+import random
 
 import numpy as np
 import pytest
 
 from rspaces.admissible import IndexSet, enumerate_admissible
 from rspaces.antipodal import (
+    OrbitPoints,
     _orbit_bfs,
     elements_to_bytes,
     orbit,
@@ -172,14 +175,14 @@ def test_orbit_examples():
 def test_orbit_formula_only_by_default():
     res = orbit(build(rst("E", 7)), IndexSet.full(7))
     assert res.method == "order_formula"
-    assert res.elements is None
+    assert res.elements is None and res.level_sizes is None
     assert res.size == 2903040
 
 
 def test_orbit_budget_refusal():
     res = orbit(build(rst("E", 8)), IndexSet.full(8), enumerate=True)
     assert res.method == "order_formula"
-    assert res.budget_exceeded
+    assert res.budget_exceeded and res.level_sizes is None
     assert res.size == 696729600
     small = orbit(build(rst("A", 4)), IndexSet.full(4), enumerate=True, budget=10)
     assert small.budget_exceeded and small.size == 120
@@ -318,10 +321,10 @@ def test_orbit_levels_are_poincare_coefficients(fam, r):
     system = build(rst(fam, r))
     for m in range(1, 1 << r):
         I = IndexSet(m)
-        size = orbit(system, I).size
-        sizes, _ = _orbit_bfs(system, xi_vector(I, r), size, keep_elements=False)
+        res = orbit(system, I, enumerate=True)
         moving = [root for root in odd_roots(system) if any(root[j - 1] for j in I)]
-        assert sizes == poincare(moving)
+        assert res.level_sizes == tuple(poincare(moving))
+        assert "level_sizes" not in res.to_dict()
 
 
 @pytest.mark.parametrize("fam,r", POINCARE_TYPES)
@@ -383,3 +386,57 @@ def test_elements_to_bytes_roundtrip():
     back = np.frombuffer(raw, dtype="<i2").reshape(-1, 3)
     assert [tuple(row) for row in back.tolist()] == list(res.elements)
     assert len(raw) == res.size * 3 * 2
+
+
+# ---------------------------------------------------------------------------
+# kept points: a read-only sequence of tuples over one int16 array
+
+
+def test_orbit_points_sequence_contract():
+    res = orbit(build(rst("E", 6)), IndexSet.full(6), keep_elements=True)
+    pts = res.elements
+    assert isinstance(pts, OrbitPoints) and len(pts) == res.size == 51840
+    rows = [tuple(row) for row in pts.array.tolist()]
+    assert list(pts) == rows  # iteration order spans several blocks
+    assert pts[0] == rows[0] and pts[-1] == rows[-1] and pts[-51840] == rows[0]
+    assert pts[5000] == rows[5000] and type(pts[5000][0]) is int
+    assert pts[10:13] == tuple(rows[10:13])
+    with pytest.raises(IndexError):
+        pts[51840]
+    v = rows[31337]
+    assert bisect.bisect_left(pts, v) == 31337 and v in pts
+    sample = random.Random(7).sample(pts, 16)
+    assert all(pts[bisect.bisect_left(pts, w)] == w for w in sample)
+
+
+def test_orbit_points_array_is_readonly_int16():
+    res = orbit(build(rst("E", 6)), IndexSet.full(6), keep_elements=True)
+    arr = res.elements.array
+    assert arr.dtype == np.int16 and arr.flags.c_contiguous
+    assert arr.shape == (51840, 6) and arr.nbytes == 51840 * 6 * 2
+    with pytest.raises(ValueError):
+        arr[0, 0] = 1
+    with pytest.raises(ValueError):
+        OrbitPoints(np.zeros((3, 2), dtype=np.int32))
+
+
+def test_orbit_points_equal_and_hash_as_tuples():
+    system = build(rst("D", 5))
+    res = orbit(system, IndexSet.of(1, 2), keep_elements=True)
+    again = orbit(system, IndexSet.of(1, 2), keep_elements=True)
+    as_tuple = tuple(res.elements)
+    assert res.elements == as_tuple and as_tuple == res.elements
+    assert hash(res.elements) == hash(as_tuple)
+    assert res.elements != as_tuple[:-1] and res.elements != list(as_tuple)
+    assert res.elements == again.elements and res.elements is not again.elements
+    assert res == again and hash(res) == hash(again)
+    other = orbit(system, IndexSet.of(1, 3), keep_elements=True)
+    assert res.elements != other.elements and res != other
+
+
+def test_elements_to_bytes_same_for_array_and_tuples():
+    for fam, r, m in (("E", 6, 0b111111), ("C", 3, 0b100), ("A", 1, 1)):
+        res = orbit(build(rst(fam, r)), IndexSet(m), keep_elements=True)
+        raw = elements_to_bytes(res.elements)
+        assert raw == elements_to_bytes(tuple(res.elements))
+        assert len(raw) == res.size * r * 2

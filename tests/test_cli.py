@@ -140,6 +140,29 @@ def test_closed_stdout_exits_141_quietly():
     assert err == b""
 
 
+def test_numpy_imported_only_to_enumerate():
+    script = """
+import contextlib, io, sys
+from rspaces.cli import main
+def run(*argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(list(argv)) == 0
+run("classify", "E", "7", "--format", "markdown")
+run("check", "BC", "3", "--set", "1,2,3")
+run("two-number", "A", "4", "--set", "2", "--format", "json")
+run("subgroups", "A", "4", "--set", "1,2,3")
+run("orbit", "E", "7", "--set", "1,2,3,4,5,6,7")
+print("numpy" in sys.modules)
+run("orbit", "A", "4", "--set", "2", "--enumerate")
+print("numpy" in sys.modules)
+"""
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    out = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
+    ).stdout
+    assert out == "False\nTrue\n"
+
+
 def test_orbit_budget_exceeded_not_strict(capsys):
     code, out, err = run(capsys, "orbit", "E", "8", "--set", "1,2,3,4,5,6,7,8", "--enumerate")
     assert code == 0
