@@ -87,16 +87,17 @@ def all_nonempty_subsets(rank: int) -> Iterator[IndexSet]:
         yield IndexSet(mask)
 
 
-def _require_nonempty(system: RootSystem, I: IndexSet) -> None:
-    if not I:
-        raise ValueError("admissibility is defined for non-empty index sets only")
-    if I.mask >> system.rank:
-        raise ValueError(f"index set {I} exceeds rank {system.rank}")
+def check_index_set(I: IndexSet, rank: int) -> None:
+    """Raise ValueError unless I is a non-empty subset of {1, ..., rank}."""
+    if not I.mask:
+        raise ValueError("index set must be non-empty")
+    if I.mask >> rank:
+        raise ValueError(f"index set {I} exceeds rank {rank}")
 
 
 def is_admissible(system: RootSystem, I: IndexSet) -> bool:
     """True iff no positive root is even and not identically zero on I."""
-    _require_nonempty(system, I)
+    check_index_set(I, system.rank)
     m = I.mask
     return all(odd & m or not sup & m for odd, sup in system.parity_masks)
 
@@ -107,7 +108,7 @@ def admissibility_witness(system: RootSystem, I: IndexSet) -> Root | None:
     Scans from the lexicographically largest root down, so for BC_r and
     I = I_reg the witness is the highest root 2e_1 = (2, ..., 2).
     """
-    _require_nonempty(system, I)
+    check_index_set(I, system.rank)
     m = I.mask
     for root, (odd, sup) in zip(reversed(system.positive_roots), reversed(system.parity_masks)):
         if not odd & m and sup & m:
@@ -184,8 +185,7 @@ def _closed_form_e8(s: frozenset[int]) -> bool:
 
 def closed_form(rst: RootSystemType, I: IndexSet) -> bool:
     """The published per-type answer, independent of the parity machinery."""
-    if not I:
-        raise ValueError("admissibility is defined for non-empty index sets only")
+    check_index_set(I, rst.rank)
     s = frozenset(I)
     r = rst.rank
     fam = rst.family

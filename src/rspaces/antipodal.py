@@ -13,12 +13,11 @@ reach it exactly.
 from __future__ import annotations
 
 import math
-import os
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from .admissible import IndexSet, is_admissible
+from .admissible import IndexSet, check_index_set, is_admissible
 from .roots import RootSystem, RootSystemType
 
 if TYPE_CHECKING:  # numpy is imported at run time only by the functions that enumerate
@@ -27,20 +26,11 @@ if TYPE_CHECKING:  # numpy is imported at run time only by the functions that en
 CoweightVector = tuple[int, ...]
 
 DEFAULT_ORBIT_BUDGET = 50_000_000
-BUDGET_ENV_VAR = "RSPACES_ORBIT_BUDGET"
-
-
-def default_budget() -> int:
-    """Point cap for orbit enumeration; override with RSPACES_ORBIT_BUDGET."""
-    raw = os.environ.get(BUDGET_ENV_VAR)
-    budget = int(raw) if raw else DEFAULT_ORBIT_BUDGET
-    if budget <= 0:
-        raise ValueError(f"{BUDGET_ENV_VAR} must be positive, got {raw!r}")
-    return budget
 
 
 def xi_vector(I: IndexSet, rank: int) -> CoweightVector:
     """xi_I in dual-basis coordinates: the 0/1 indicator vector of I."""
+    check_index_set(I, rank)
     return tuple(1 if j in I else 0 for j in range(1, rank + 1))
 
 
@@ -111,8 +101,8 @@ class OrbitResult:
     size: int
     weyl_order: int
     stabilizer_order: int
-    method: str  # "enumeration", "order_formula", or "both"
-    elements: OrbitPoints | None = None
+    method: str  # "order_formula", or "both" when the enumeration ran too
+    elements: OrbitPoints | None = field(default=None, hash=False)
     budget_exceeded: bool = False
     level_sizes: tuple[int, ...] | None = None
 
@@ -158,8 +148,7 @@ def stabilizer_order(system: RootSystem, I: IndexSet) -> int:
     coefficient are exactly the doubled roots 2e_i of BC, skipped because
     W(BC_r) = W(B_r).
     """
-    if not I:
-        raise ValueError("index set must be non-empty")
+    check_index_set(I, system.rank)
     num = den = 1
     for root, (odd, sup) in zip(system.positive_roots, system.parity_masks):
         if odd and not sup & I.mask:
@@ -234,23 +223,18 @@ def orbit(
     I: IndexSet,
     enumerate: bool = False,
     keep_elements: bool = False,
-    budget: int | None = None,
+    budget: int = DEFAULT_ORBIT_BUDGET,
 ) -> OrbitResult:
     """Weyl orbit of xi_I: by the order formula, by BFS, or both.
 
     With enumerate=True the BFS runs and must agree with the quotient
     |W| / |stabilizer|.  The budget caps the orbit's total points and is
     compared with that quotient before any enumeration: larger orbits fall
-    back to the formula with budget_exceeded set.  Only enumeration reads
-    RSPACES_ORBIT_BUDGET, when no budget is given.  keep_elements
-    keeps the lexicographically sorted points as OrbitPoints (implies
-    enumerate).
+    back to the formula with budget_exceeded set.  keep_elements keeps the
+    lexicographically sorted points as OrbitPoints (implies enumerate).
     """
-    if not I:
-        raise ValueError("index set must be non-empty")
-    if I.mask >> system.rank:
-        raise ValueError(f"index set {I} exceeds rank {system.rank}")
-    if budget is not None and budget <= 0:
+    check_index_set(I, system.rank)
+    if budget <= 0:
         raise ValueError("budget must be positive")
     w = weyl_group_order(system.type)
     stab = stabilizer_order(system, I)
@@ -260,8 +244,6 @@ def orbit(
     enumerate = enumerate or keep_elements
     if not enumerate:
         return OrbitResult(predicted, w, stab, "order_formula")
-    if budget is None:
-        budget = default_budget()
     if predicted > budget:
         return OrbitResult(predicted, w, stab, "order_formula", budget_exceeded=True)
     sizes, points = _orbit_bfs(system, xi_vector(I, system.rank), predicted, keep_elements)
@@ -280,8 +262,6 @@ def two_number(system: RootSystem, I: IndexSet) -> int:
     Requires I admissible; otherwise the index set carries no compatible
     family of point symmetries and the antipodal count is undefined.
     """
-    if not I:
-        raise ValueError("index set must be non-empty")
     if not is_admissible(system, I):
         raise ValueError(
             f"{I} is not admissible for {system.type}: some positive root is even "

@@ -31,6 +31,7 @@ from .roots import RootSystem, RootSystemError, RootSystemType, build, to_json
 from .verify import run_all, standard_types
 
 FIXTURE_TYPES = ("A3", "B3", "C3", "D4", "BC2", "F4", "G2", "E6")
+BUDGET_ENV_VAR = "RSPACES_ORBIT_BUDGET"
 
 
 def _emit_json(payload: dict | list) -> None:
@@ -47,21 +48,20 @@ def _parse_type(parser: argparse.ArgumentParser, family: str, rank: int) -> Root
 def _positive_int(raw: str) -> int:
     if not raw.strip().isdecimal() or int(raw) == 0:
         raise argparse.ArgumentTypeError(
-            f"expected a positive integer, got {raw!r} (from --budget or ${ant.BUDGET_ENV_VAR})"
+            f"expected a positive integer, got {raw!r} (from --budget or ${BUDGET_ENV_VAR})"
         )
     return int(raw)
 
 
 def _parse_set(parser: argparse.ArgumentParser, raw: str, rank: int) -> IndexSet:
     try:
-        indices = [int(tok) for tok in raw.split(",") if tok.strip()]
-        I = IndexSet.from_iterable(indices)
+        I = IndexSet.from_iterable([int(tok) for tok in raw.split(",") if tok.strip()])
     except ValueError as exc:
         parser.error(f"invalid index set {raw!r}: {exc}")
-    if not I:
-        parser.error("index set must be non-empty")
-    if I.mask >> rank:
-        parser.error(f"index set {I} exceeds rank {rank}")
+    try:
+        adm.check_index_set(I, rank)
+    except ValueError as exc:
+        parser.error(str(exc))
     return I
 
 
@@ -321,8 +321,8 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--budget",
         type=_positive_int,
-        default=os.environ.get(ant.BUDGET_ENV_VAR) or str(ant.DEFAULT_ORBIT_BUDGET),
-        help=f"orbit element cap (default: ${ant.BUDGET_ENV_VAR} or {ant.DEFAULT_ORBIT_BUDGET})",
+        default=os.environ.get(BUDGET_ENV_VAR) or str(ant.DEFAULT_ORBIT_BUDGET),
+        help=f"orbit element cap (default: ${BUDGET_ENV_VAR} or {ant.DEFAULT_ORBIT_BUDGET})",
     )
     p.add_argument("--strict", action="store_true", help="exit 3 when the budget is exceeded")
     p.set_defaults(fn=_cmd_orbit)

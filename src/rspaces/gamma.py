@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Iterator
 
-from .admissible import IndexSet, is_admissible
+from .admissible import IndexSet, check_index_set, is_admissible
 from .roots import Root, RootSystem
 
 
@@ -149,6 +149,11 @@ class FixedRootSet:
         return len(self.roots)
 
 
+def _check_subgroup_rank(system: RootSystem, subgroup: GammaSubgroup) -> None:
+    if subgroup.rank != system.rank:
+        raise ValueError(f"subgroup of rank {subgroup.rank} does not act on {system.type}")
+
+
 def _even_on_basis(odd_mask: int, basis: tuple[int, ...]) -> bool:
     return all((odd_mask & b).bit_count() % 2 == 0 for b in basis)
 
@@ -160,6 +165,7 @@ def fixed_root_set(system: RootSystem, subgroup: GammaSubgroup) -> FixedRootSet:
     basis is equivalent to checking all 2^dim elements; the test suite pins
     that equivalence against fixed_root_set_by_definition.
     """
+    _check_subgroup_rank(system, subgroup)
     pairs = zip(system.positive_roots, system.parity_masks)
     return FixedRootSet(
         tuple(root for root, (odd, _) in pairs if _even_on_basis(odd, subgroup.basis))
@@ -178,14 +184,13 @@ def fixed_root_set_by_definition(system: RootSystem, subgroup: GammaSubgroup) ->
 
 def roots_vanishing_on(system: RootSystem, I: IndexSet) -> FixedRootSet:
     """Positive roots supported entirely outside I."""
+    check_index_set(I, system.rank)
     pairs = zip(system.positive_roots, system.parity_masks)
     return FixedRootSet(tuple(root for root, (_, sup) in pairs if not sup & I.mask))
 
 
 def is_triple(system: RootSystem, I: IndexSet, subgroup: GammaSubgroup) -> bool:
     """Whether the subgroup's fixed root set equals the roots vanishing on I."""
-    if not I:
-        raise ValueError("index set must be non-empty")
     return triple_witness(system, I, subgroup) is None
 
 
@@ -193,6 +198,8 @@ def triple_witness(
     system: RootSystem, I: IndexSet, subgroup: GammaSubgroup
 ) -> Root | None:
     """A root separating the fixed set from the vanishing set, when they differ."""
+    check_index_set(I, system.rank)
+    _check_subgroup_rank(system, subgroup)
     m = I.mask
     for root, (odd, sup) in zip(
         reversed(system.positive_roots), reversed(system.parity_masks)

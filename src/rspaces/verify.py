@@ -162,9 +162,7 @@ def criterion_6_orbit_agreement() -> CriterionResult:
                 continue
             system = build(rst)
             for I in adm.enumerate_admissible(system):
-                # raises on disagreement; the explicit budget keeps RSPACES_ORBIT_BUDGET
-                # out of the check, and every orbit here has at most |W| <= cap points
-                res = ant.orbit(system, I, enumerate=True, budget=WEYL_ENUMERATION_CAP)
+                res = ant.orbit(system, I, enumerate=True)  # raises on disagreement
                 if res.method != "both":
                     return False, f"{rst} {I}: enumeration did not run"
                 n_orbits += 1
@@ -186,9 +184,7 @@ def criterion_7_weyl_orders() -> CriterionResult:
             if rst.family == "BC" or ant.weyl_group_order(rst) > WEYL_ENUMERATION_CAP:
                 continue
             system = build(rst)
-            res = ant.orbit(
-                system, IndexSet.full(rst.rank), enumerate=True, budget=WEYL_ENUMERATION_CAP
-            )
+            res = ant.orbit(system, IndexSet.full(rst.rank), enumerate=True)
             if res.method != "both":
                 return False, f"{rst}: regular orbit was not enumerated"
             if res.size != ant.weyl_group_order(rst):
@@ -243,9 +239,7 @@ def criterion_10_properties() -> CriterionResult:
         for rst in standard_types(max_rank=4):
             system = build(rst)
             for m in range(1, 1 << system.rank):
-                res = ant.orbit(
-                    system, IndexSet(m), keep_elements=True, budget=WEYL_ENUMERATION_CAP
-                )
+                res = ant.orbit(system, IndexSet(m), keep_elements=True)
                 for v in res.elements:
                     for j in range(1, system.rank + 1):
                         if ant.reflect(ant.reflect(v, j, system), j, system) != v:

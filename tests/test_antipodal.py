@@ -3,6 +3,7 @@
 import bisect
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -432,6 +433,17 @@ def test_orbit_points_equal_and_hash_as_tuples():
     assert res == again and hash(res) == hash(again)
     other = orbit(system, IndexSet.of(1, 3), keep_elements=True)
     assert res.elements != other.elements and res != other
+
+
+def test_orbit_result_hash_skips_points(monkeypatch):
+    res = orbit(build(rst("E", 6)), IndexSet.full(6), keep_elements=True)
+
+    def no_iter(self):
+        raise AssertionError("hashing an OrbitResult iterated its points")
+
+    monkeypatch.setattr(OrbitPoints, "__iter__", no_iter)
+    bare = replace(res, elements=None)
+    assert hash(res) == hash(bare) and res != bare
 
 
 def test_elements_to_bytes_same_for_array_and_tuples():
