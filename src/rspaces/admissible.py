@@ -98,32 +98,38 @@ def check_index_set(I: IndexSet, rank: int) -> None:
 def is_admissible(system: RootSystem, I: IndexSet) -> bool:
     """True iff no positive root is even and not identically zero on I."""
     check_index_set(I, system.rank)
-    m = I.mask
-    return all(odd & m or not sup & m for odd, sup in system.parity_masks)
+    return not system.even_nonzero_on(I.mask)
 
 
 def admissibility_witness(system: RootSystem, I: IndexSet) -> Root | None:
     """The offending root for a non-admissible I, or None.
 
-    Scans from the lexicographically largest root down, so for BC_r and
+    Takes the lexicographically largest offending root, so for BC_r and
     I = I_reg the witness is the highest root 2e_1 = (2, ..., 2).
     """
     check_index_set(I, system.rank)
-    m = I.mask
-    for root, (odd, sup) in zip(reversed(system.positive_roots), reversed(system.parity_masks)):
-        if not odd & m and sup & m:
-            return root
-    return None
+    bad = system.even_nonzero_on(I.mask)
+    return system.positive_roots[bad.bit_length() - 1] if bad else None
 
 
 def enumerate_admissible(system: RootSystem) -> list[IndexSet]:
-    """All non-empty admissible subsets, sorted by bitmask value."""
-    masks = system.parity_masks
-    return [
-        IndexSet(m)
-        for m in range(1, 1 << system.rank)
-        if all(odd & m or not sup & m for odd, sup in masks)
-    ]
+    """All non-empty admissible subsets, sorted by bitmask value.
+
+    The odd and support unions of each mask m extend those of m & (m-1)
+    by the column of m's lowest index.
+    """
+    odd_columns, support_columns = system.odd_columns, system.support_columns
+    size = 1 << system.rank
+    odd, support = [0] * size, [0] * size
+    admissible = []
+    for m in range(1, size):
+        rest = m & (m - 1)
+        j = (m ^ rest).bit_length() - 1
+        odd[m] = odd[rest] | odd_columns[j]
+        support[m] = support[rest] | support_columns[j]
+        if not support[m] & ~odd[m]:
+            admissible.append(IndexSet(m))
+    return admissible
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,8 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import or_
 from typing import TYPE_CHECKING
 
 from .admissible import IndexSet, check_index_set, is_admissible
@@ -149,12 +151,12 @@ def stabilizer_order(system: RootSystem, I: IndexSet) -> int:
     W(BC_r) = W(B_r).
     """
     check_index_set(I, system.rank)
+    odd_somewhere = reduce(or_, system.odd_columns)  # all roots but BC's doubled ones
     num = den = 1
-    for root, (odd, sup) in zip(system.positive_roots, system.parity_masks):
-        if odd and not sup & I.mask:
-            height = sum(root)
-            num *= height + 1
-            den *= height
+    for root in system.roots_at(odd_somewhere & ~system.nonzero_on(I.mask)):
+        height = sum(root)
+        num *= height + 1
+        den *= height
     order, rem = divmod(num, den)
     if rem:
         raise AssertionError(f"{system.type} {I}: height product {num}/{den} is not an integer")

@@ -158,7 +158,8 @@ def _cmd_orbit(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
             file=sys.stderr,
         )
     if args.dump is not None and res.elements is not None:
-        Path(args.dump).write_bytes(ant.elements_to_bytes(res.elements))
+        # the bytes of elements_to_bytes, written from the array without a copy
+        Path(args.dump).write_bytes(res.elements.array.astype("<i2", copy=False))
     if args.format == "json":
         _emit_json(_orbit_payload(system, I, res, include_elements=args.elements))
     else:

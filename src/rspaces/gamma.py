@@ -154,8 +154,12 @@ def _check_subgroup_rank(system: RootSystem, subgroup: GammaSubgroup) -> None:
         raise ValueError(f"subgroup of rank {subgroup.rank} does not act on {system.type}")
 
 
-def _even_on_basis(odd_mask: int, basis: tuple[int, ...]) -> bool:
-    return all((odd_mask & b).bit_count() % 2 == 0 for b in basis)
+def _moved_roots(system: RootSystem, subgroup: GammaSubgroup) -> int:
+    """Bitset of the roots odd on some basis label, i.e. outside the fixed root set."""
+    moved = 0
+    for b in subgroup.basis:
+        moved |= system.odd_on(b)
+    return moved
 
 
 def fixed_root_set(system: RootSystem, subgroup: GammaSubgroup) -> FixedRootSet:
@@ -166,14 +170,12 @@ def fixed_root_set(system: RootSystem, subgroup: GammaSubgroup) -> FixedRootSet:
     that equivalence against fixed_root_set_by_definition.
     """
     _check_subgroup_rank(system, subgroup)
-    pairs = zip(system.positive_roots, system.parity_masks)
-    return FixedRootSet(
-        tuple(root for root, (odd, _) in pairs if _even_on_basis(odd, subgroup.basis))
-    )
+    return FixedRootSet(system.roots_at(system.all_roots & ~_moved_roots(system, subgroup)))
 
 
 def fixed_root_set_by_definition(system: RootSystem, subgroup: GammaSubgroup) -> FixedRootSet:
     """Same set computed literally over every subgroup element; test oracle."""
+    _check_subgroup_rank(system, subgroup)
     elements = [J.mask for J in subgroup.elements]
     keep = []
     for root, (odd, _) in zip(system.positive_roots, system.parity_masks):
@@ -185,8 +187,7 @@ def fixed_root_set_by_definition(system: RootSystem, subgroup: GammaSubgroup) ->
 def roots_vanishing_on(system: RootSystem, I: IndexSet) -> FixedRootSet:
     """Positive roots supported entirely outside I."""
     check_index_set(I, system.rank)
-    pairs = zip(system.positive_roots, system.parity_masks)
-    return FixedRootSet(tuple(root for root, (_, sup) in pairs if not sup & I.mask))
+    return FixedRootSet(system.roots_at(system.all_roots & ~system.nonzero_on(I.mask)))
 
 
 def is_triple(system: RootSystem, I: IndexSet, subgroup: GammaSubgroup) -> bool:
@@ -197,23 +198,20 @@ def is_triple(system: RootSystem, I: IndexSet, subgroup: GammaSubgroup) -> bool:
 def triple_witness(
     system: RootSystem, I: IndexSet, subgroup: GammaSubgroup
 ) -> Root | None:
-    """A root separating the fixed set from the vanishing set, when they differ."""
+    """The largest root separating the fixed set from the vanishing set, if any."""
     check_index_set(I, system.rank)
     _check_subgroup_rank(system, subgroup)
-    m = I.mask
-    for root, (odd, sup) in zip(
-        reversed(system.positive_roots), reversed(system.parity_masks)
-    ):
-        if _even_on_basis(odd, subgroup.basis) != (not sup & m):
-            return root
-    return None
+    # both sets are complements: of the moved roots, and of the roots nonzero on I
+    differ = _moved_roots(system, subgroup) ^ system.nonzero_on(I.mask)
+    return system.positive_roots[differ.bit_length() - 1] if differ else None
 
 
 def verify_maximality_proposition(system: RootSystem, max_rank: int = 4) -> bool:
     """Exhaustively confirm: every triple forces the subgroup inside Gamma^I and I admissible.
 
     Scans all GF(2) subgroups against all non-empty index sets, so cost grows
-    like the number of subspaces of F_2^r; raise max_rank knowingly.
+    like the number of subspaces of F_2^r; raise max_rank knowingly.  A pair
+    is a triple when the subgroup moves exactly the roots nonzero on I.
     """
     r = system.rank
     if r > max_rank:
@@ -221,13 +219,14 @@ def verify_maximality_proposition(system: RootSystem, max_rank: int = 4) -> bool
             f"exhaustive subgroup scan is bounded at rank {max_rank}; "
             f"{system.type} has rank {r} (pass max_rank to raise the bound)"
         )
-    subgroups = list(all_subgroups(r))
+    moved = [(sub, _moved_roots(system, sub)) for sub in all_subgroups(r)]
     for m in range(1, 1 << r):
         I = IndexSet(m)
+        nonzero = system.nonzero_on(m)
         admissible = is_admissible(system, I)
         full = gamma_full(I, r)
-        for sub in subgroups:
-            if is_triple(system, I, sub) and not (admissible and sub.issubgroup_of(full)):
+        for sub, bits in moved:
+            if bits == nonzero and not (admissible and sub.issubgroup_of(full)):
                 return False
     return True
 

@@ -9,6 +9,8 @@ family BC is built from its explicit coordinate model.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress
+from operator import add
 from typing import Iterable
 
 Root = tuple[int, ...]
@@ -124,8 +126,12 @@ class RootSystem:
 
     positive_roots is sorted lexicographically; parity_masks holds, in the
     same order, each root's (bitmask of odd coefficients, bitmask of nonzero
-    coefficients), with bit j-1 for index j.  All arithmetic downstream is
-    exact integer, so instances are safe to share across threads.
+    coefficients), with bit j-1 for index j.  odd_columns and
+    support_columns are the same bits transposed: column j-1 is a root
+    bitset, with bit i for positive_roots[i], of the roots whose coefficient
+    c_j is odd, respectively nonzero.  The methods below fold columns over
+    the set bits of an index mask and return root bitsets.  All arithmetic
+    is exact integer, so instances are safe to share across threads.
     """
 
     type: RootSystemType
@@ -134,11 +140,36 @@ class RootSystem:
     highest_root: Root
     simple_roots: tuple[Root, ...]
     parity_masks: tuple[tuple[int, int], ...]
+    odd_columns: tuple[int, ...] = field(repr=False, compare=False)
+    support_columns: tuple[int, ...] = field(repr=False, compare=False)
     _root_set: frozenset[Root] = field(repr=False, hash=False, compare=False, default=frozenset())
 
     @property
     def rank(self) -> int:
         return self.type.rank
+
+    @property
+    def all_roots(self) -> int:
+        """The bitset of every positive root."""
+        return (1 << len(self.positive_roots)) - 1
+
+    def odd_on(self, label: int) -> int:
+        """Roots whose evaluation on xi_label is odd: the XOR of its odd columns."""
+        return _xor_fold(self.odd_columns, label)
+
+    def nonzero_on(self, mask: int) -> int:
+        """Roots with a nonzero coefficient in mask: the OR of its support columns."""
+        return _or_fold(self.support_columns, mask)
+
+    def even_nonzero_on(self, mask: int) -> int:
+        """Roots nonzero on mask with every coefficient in mask even."""
+        return _or_fold(self.support_columns, mask) & ~_or_fold(self.odd_columns, mask)
+
+    def roots_at(self, bits: int) -> tuple[Root, ...]:
+        """The positive roots in a bitset, in positive_roots order."""
+        # bin's digits, lowest bit first, as 0/1 bytes selecting roots
+        selectors = bin(bits)[:1:-1].encode().translate(_BIT_SELECTORS)
+        return tuple(compress(self.positive_roots, selectors))
 
     def __contains__(self, root: Root) -> bool:
         return tuple(root) in self._root_set
@@ -146,6 +177,8 @@ class RootSystem:
     def __str__(self) -> str:
         return str(self.type)
 
+
+_BIT_SELECTORS = bytes.maketrans(b"01", b"\0\1")
 
 _BUILT: dict[RootSystemType, RootSystem] = {}
 
@@ -175,8 +208,32 @@ def build(rst: RootSystemType) -> RootSystem:
         )
         for root in roots
     )
-    system = _BUILT[rst] = RootSystem(rst, roots, cartan, highest, simple, masks, frozenset(roots))
+    odd_columns = tuple(sum(1 << i for i, root in enumerate(roots) if root[j] & 1) for j in range(r))
+    support_columns = tuple(sum(1 << i for i, root in enumerate(roots) if root[j]) for j in range(r))
+    system = _BUILT[rst] = RootSystem(
+        rst, roots, cartan, highest, simple, masks, odd_columns, support_columns, frozenset(roots)
+    )
     return system
+
+
+def _or_fold(columns: tuple[int, ...], mask: int) -> int:
+    """The OR of columns[j] over the set bits j of mask."""
+    acc = 0
+    while mask:
+        low = mask & -mask
+        acc |= columns[low.bit_length() - 1]
+        mask ^= low
+    return acc
+
+
+def _xor_fold(columns: tuple[int, ...], mask: int) -> int:
+    """The XOR of columns[j] over the set bits j of mask."""
+    acc = 0
+    while mask:
+        low = mask & -mask
+        acc ^= columns[low.bit_length() - 1]
+        mask ^= low
+    return acc
 
 
 def positive_root_count(rst: RootSystemType) -> int:
@@ -194,15 +251,19 @@ def _generate_by_closure(cartan: tuple[tuple[int, ...], ...]) -> set[Root]:
     the string through b in direction j has not been exhausted, i.e. when
     p - <b, alpha_j^vee> >= 1 with p the number of backward steps that stay
     in the system.  Processing by height keeps the backward string known.
+    Each root carries its pairing vector (<b, alpha_j^vee>)_j, and that of
+    b + alpha_j is b's plus row j of the Cartan matrix.
     """
     r = len(cartan)
-    roots: set[Root] = {tuple(1 if k == j else 0 for k in range(r)) for j in range(r)}
-    current = set(roots)
+    # root -> its pairing vector; a simple root's is its Cartan row
+    roots: dict[Root, tuple[int, ...]] = {
+        tuple(1 if k == j else 0 for k in range(r)): cartan[j] for j in range(r)
+    }
+    current = dict(roots)
     while current:
-        nxt: set[Root] = set()
-        for beta in current:
-            for j in range(r):
-                pairing = sum(beta[k] * cartan[k][j] for k in range(r))
+        nxt: dict[Root, tuple[int, ...]] = {}
+        for beta, pairings in current.items():
+            for j, pairing in enumerate(pairings):
                 p = 0
                 lower = list(beta)
                 while True:
@@ -215,10 +276,9 @@ def _generate_by_closure(cartan: tuple[tuple[int, ...], ...]) -> set[Root]:
                     new[j] += 1
                     cand = tuple(new)
                     if cand not in roots:
-                        roots.add(cand)
-                        nxt.add(cand)
+                        roots[cand] = nxt[cand] = tuple(map(add, pairings, cartan[j]))
         current = nxt
-    return roots
+    return set(roots)
 
 
 def _bc_positive_roots(r: int) -> set[Root]:

@@ -6,7 +6,14 @@ import pytest
 
 from rspaces.admissible import IndexSet, admissibility_witness, closed_form, is_admissible
 from rspaces.antipodal import orbit, stabilizer_order, two_number, xi_vector
-from rspaces.gamma import fixed_root_set, gamma_full, is_triple, roots_vanishing_on, triple_witness
+from rspaces.gamma import (
+    fixed_root_set,
+    fixed_root_set_by_definition,
+    gamma_full,
+    is_triple,
+    roots_vanishing_on,
+    triple_witness,
+)
 from rspaces.roots import RootSystemType, build
 
 A3 = build(RootSystemType("A", 3))
@@ -27,6 +34,7 @@ INDEX_SET_CALLS = {
 
 SUBGROUP_CALLS = {
     "fixed_root_set": lambda sub: fixed_root_set(A3, sub),
+    "fixed_root_set_by_definition": lambda sub: fixed_root_set_by_definition(A3, sub),
     "triple_witness": lambda sub: triple_witness(A3, IndexSet.of(1), sub),
     "is_triple": lambda sub: is_triple(A3, IndexSet.of(1), sub),
 }

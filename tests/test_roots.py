@@ -264,6 +264,18 @@ def test_parity_masks(t):
             assert (sup >> (j - 1)) & 1 == (c != 0)
     # only the doubled roots 2e_i of BC have no odd coefficient
     assert sum(odd == 0 for odd, _ in system.parity_masks) == (0 if t.reduced else t.rank)
+    # the columns: bit i of column j-1 reads c_j of positive_roots[i]
+    n = len(system.positive_roots)
+    assert len(system.odd_columns) == len(system.support_columns) == t.rank
+    for j in range(1, t.rank + 1):
+        odd_column, support_column = system.odd_columns[j - 1], system.support_columns[j - 1]
+        assert odd_column >> n == support_column >> n == 0
+        for i, root in enumerate(system.positive_roots):
+            c = coefficient(root, j)
+            assert (odd_column >> i) & 1 == c % 2
+            assert (support_column >> i) & 1 == (c != 0)
+    assert system.all_roots == (1 << n) - 1
+    assert system.roots_at(system.all_roots) == system.positive_roots
 
 
 def test_build_is_cached():
