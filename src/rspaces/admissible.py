@@ -9,6 +9,7 @@ the known per-type answer and verify_classification confronts the two.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Iterable, Iterator
 
 from .roots import Root, RootSystem, RootSystemType, build
@@ -46,12 +47,11 @@ class IndexSet:
         return tuple(self)
 
     def __iter__(self) -> Iterator[int]:
-        mask, j = self.mask, 1
+        mask = self.mask
         while mask:
-            if mask & 1:
-                yield j
-            mask >>= 1
-            j += 1
+            low = mask & -mask
+            yield low.bit_length()
+            mask ^= low
 
     def __len__(self) -> int:
         return self.mask.bit_count()
@@ -266,9 +266,8 @@ def verify_classification(rst: RootSystemType) -> ClassificationReport:
 
 def is_union_closed(system: RootSystem) -> bool:
     """Whether the admissible family is closed under pairwise union (it must be)."""
-    sets = enumerate_admissible(system)
-    members = {I.mask for I in sets}
-    return all(a.mask | b.mask in members for a in sets for b in sets)
+    masks = {I.mask for I in enumerate_admissible(system)}
+    return all(a | b in masks for a, b in combinations(masks, 2))
 
 
 def find_all_even_root(system: RootSystem) -> Root | None:

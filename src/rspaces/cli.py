@@ -55,9 +55,14 @@ def _positive_int(raw: str) -> int:
 
 def _parse_set(parser: argparse.ArgumentParser, raw: str, rank: int) -> IndexSet:
     try:
-        I = IndexSet.from_iterable([int(tok) for tok in raw.split(",") if tok.strip()])
+        indices = [int(tok) for tok in raw.split(",") if tok.strip()]
+        I = IndexSet.from_iterable(j for j in indices if j <= rank)
     except ValueError as exc:
         parser.error(f"invalid index set {raw!r}: {exc}")
+    # check_index_set's message, without first shifting a huge index into a mask
+    above = sorted({j for j in indices if j > rank})
+    if above:
+        parser.error(f"index set {{{','.join(map(str, [*I, *above]))}}} exceeds rank {rank}")
     try:
         adm.check_index_set(I, rank)
     except ValueError as exc:

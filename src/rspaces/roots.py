@@ -1,9 +1,11 @@
 """Irreducible root systems as exact integer data in the simple-root basis.
 
 Every root is a tuple of non-negative integer coefficients (c_1, ..., c_r)
-with respect to the simple roots in Bourbaki numbering.  Reduced systems are
-generated from the Cartan matrix by root-string closure; the non-reduced
-family BC is built from its explicit coordinate model.
+with respect to the simple roots in Bourbaki numbering.  Every system is
+generated from its Cartan matrix by root-string closure.  The non-reduced
+BC_r has the simple roots and Cartan matrix of B_r, and its roots are those
+of B_r plus 2a for each short root a = e_i (Bourbaki, Lie Groups and Lie
+Algebras, Ch. VI, Sec. 1.4 and Plate II).
 """
 
 from __future__ import annotations
@@ -68,56 +70,30 @@ class RootSystemType:
 def cartan_matrix(rst: RootSystemType) -> tuple[tuple[int, ...], ...]:
     """Cartan matrix with entry [k][j] = <alpha_k, alpha_j^vee>, Bourbaki numbering.
 
-    For BC_r this returns the B_r matrix: BC_r shares the B_r Weyl group, and
-    the matrix is only ever used for reflections, never for generation.
+    Each diagram is the chain 1-2-...-r, except that D's node r forks from
+    node r-2 and E's node 2 hangs on node 4, with at most one multiple bond
+    (k, j, <alpha_k, alpha_j^vee>) written on top.  BC_r takes the B_r matrix.
     """
     fam, r = rst.family, rst.rank
-    if fam == "BC":
-        fam = "B"
-    if fam == "E":
-        # chain 1-3-4-5-6(-7)(-8), node 2 attached to node 4
-        edges = [(1, 3), (3, 4), (2, 4)] + [(j, j + 1) for j in range(4, r)]
-        return _simply_laced_cartan(r, edges)
-    if fam == "A":
-        return _simply_laced_cartan(r, [(j, j + 1) for j in range(1, r)])
+    edges = [(j, j + 1) for j in range(1, r)]
     if fam == "D":
-        edges = [(j, j + 1) for j in range(1, r - 1)] + [(r - 2, r)]
-        return _simply_laced_cartan(r, edges)
-    if fam == "B":
-        if r == 1:  # only reachable via BC_1, whose Weyl group is W(B_1) = W(A_1)
-            return ((2,),)
-        # alpha_r is the short root: <alpha_{r-1}, alpha_r^vee> = -2
-        m = _chain_cartan(r)
-        m[r - 2][r - 1] = -2
-        return tuple(tuple(row) for row in m)
-    if fam == "C":
-        # alpha_r is the long root: <alpha_r, alpha_{r-1}^vee> = -2
-        m = _chain_cartan(r)
-        m[r - 1][r - 2] = -2
-        return tuple(tuple(row) for row in m)
-    if fam == "F":
-        m = _chain_cartan(4)
-        m[1][2] = -2  # alpha_2 long, alpha_3 short
-        return tuple(tuple(row) for row in m)
-    if fam == "G":
-        # alpha_1 short, alpha_2 long
-        return ((2, -1), (-3, 2))
-    raise AssertionError(fam)
-
-
-def _chain_cartan(r: int) -> list[list[int]]:
-    return [
-        [2 if i == j else -1 if abs(i - j) == 1 else 0 for j in range(r)]
-        for i in range(r)
-    ]
-
-
-def _simply_laced_cartan(r: int, edges: list[tuple[int, int]]) -> tuple[tuple[int, ...], ...]:
+        edges[-1] = (r - 2, r)
+    elif fam == "E":
+        # chain 1-3-4-5-6(-7)(-8), node 2 attached to node 4
+        edges[:3] = [(1, 3), (3, 4), (2, 4)]
+    bond = {
+        "B": (r - 1, r, -2),  # alpha_r short
+        "C": (r, r - 1, -2),  # alpha_r long
+        "F": (2, 3, -2),  # alpha_2 long, alpha_3 short
+        "G": (2, 1, -3),  # alpha_1 short, alpha_2 long
+    }.get("B" if fam == "BC" else fam)
     m = [[2 if i == j else 0 for j in range(r)] for i in range(r)]
     for a, b in edges:
-        m[a - 1][b - 1] = -1
-        m[b - 1][a - 1] = -1
-    return tuple(tuple(row) for row in m)
+        m[a - 1][b - 1] = m[b - 1][a - 1] = -1
+    if bond and r > 1:  # B_1, reached only through BC_1, is A_1 and has no bond
+        k, j, value = bond
+        m[k - 1][j - 1] = value
+    return tuple(map(tuple, m))
 
 
 @dataclass(frozen=True)
@@ -189,10 +165,10 @@ def build(rst: RootSystemType) -> RootSystem:
         return _BUILT[rst]
     cartan = cartan_matrix(rst)
     r = rst.rank
+    roots = _generate_by_closure(cartan)
     if rst.family == "BC":
-        roots = _bc_positive_roots(r)
-    else:
-        roots = _generate_by_closure(cartan)
+        # the short roots e_i of B_r are those with c_r = 1; BC_r adds each 2e_i
+        roots |= {tuple(2 * c for c in root) for root in roots if root[-1] == 1}
     roots = tuple(sorted(roots))
     expected = positive_root_count(rst)
     if len(roots) != expected:
@@ -244,7 +220,7 @@ def positive_root_count(rst: RootSystemType) -> int:
 
 
 def _generate_by_closure(cartan: tuple[tuple[int, ...], ...]) -> set[Root]:
-    """Positive roots of a reduced system from the Cartan matrix.
+    """Positive roots of the reduced system with the given Cartan matrix.
 
     Starts from the simple roots and repeatedly extends root strings: for a
     known root b and simple root alpha_j, b + alpha_j is a root exactly when
@@ -279,28 +255,6 @@ def _generate_by_closure(cartan: tuple[tuple[int, ...], ...]) -> set[Root]:
                         roots[cand] = nxt[cand] = tuple(map(add, pairings, cartan[j]))
         current = nxt
     return set(roots)
-
-
-def _bc_positive_roots(r: int) -> set[Root]:
-    """BC_r model: simple roots e_1-e_2, ..., e_{r-1}-e_r, e_r.
-
-    Positive roots are {e_i, 2e_i} for 1 <= i <= r and {e_i +- e_j} for
-    i < j, stored as a plain set: multiplicities never matter here.
-    """
-
-    def e(i: int) -> list[int]:
-        return [1 if k >= i else 0 for k in range(1, r + 1)]
-
-    roots: set[Root] = set()
-    for i in range(1, r + 1):
-        roots.add(tuple(e(i)))
-        roots.add(tuple(2 * c for c in e(i)))
-    for i in range(1, r + 1):
-        for j in range(i + 1, r + 1):
-            diff = [a - b for a, b in zip(e(i), e(j))]
-            roots.add(tuple(diff))
-            roots.add(tuple(a + b for a, b in zip(e(i), e(j))))
-    return roots
 
 
 def coefficient(root: Root, j: int) -> int:

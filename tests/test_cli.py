@@ -233,10 +233,21 @@ def test_subgroups_preset(capsys):
         ("orbit", "A", "3", "--set", "1", "--budget", "0"),
         ("orbit", "A", "3", "--set", "1", "--budget", "-5"),
         ("orbit", "A", "3", "--set", "1", "--budget", "many"),
+        # an index this far above the rank must be refused before it is
+        # shifted into a mask or printed
+        ("check", "A", "3", "--set", "10000000"),
+        ("check", "A", "3", "--set", "1000000000000"),
     ],
 )
 def test_usage_errors(argv):
-    assert run_expecting_usage_error(*argv) == 2
+    # a real process, so an input that is slow to refuse fails the timeout
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "rspaces.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=10,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == "" and "error:" in proc.stderr
 
 
 def test_orbit_budget_env_default(monkeypatch):

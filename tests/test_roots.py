@@ -355,6 +355,27 @@ def test_cartan_matrix_shapes():
     assert c3 == ((2, -1, 0), (-1, 2, -1), (0, -2, 2))
     assert cartan_matrix(rst("G", 2)) == ((2, -1), (-3, 2))
     assert cartan_matrix(rst("BC", 3)) == b3
+    assert cartan_matrix(rst("BC", 1)) == ((2,),)  # B_1 has no bond
+    # D's fork at r-2 beyond D4
+    assert cartan_matrix(rst("D", 5)) == (
+        (2, -1, 0, 0, 0),
+        (-1, 2, -1, 0, 0),
+        (0, -1, 2, -1, -1),
+        (0, 0, -1, 2, 0),
+        (0, 0, -1, 0, 2),
+    )
+    # alpha_2 long, alpha_3 short
+    assert cartan_matrix(rst("F", 4)) == ((2, -1, 0, 0), (-1, 2, -2, 0), (0, -1, 2, -1), (0, 0, -1, 2))
+    # node 2 on node 4
+    assert cartan_matrix(rst("E", 7)) == (
+        (2, 0, -1, 0, 0, 0, 0),
+        (0, 2, 0, -1, 0, 0, 0),
+        (-1, 0, 2, -1, 0, 0, 0),
+        (0, -1, -1, 2, -1, 0, 0),
+        (0, 0, 0, -1, 2, -1, 0),
+        (0, 0, 0, 0, -1, 2, -1),
+        (0, 0, 0, 0, 0, -1, 2),
+    )
 
 
 @pytest.mark.parametrize("name", ["A3", "B3", "C3", "D4", "BC2", "F4", "G2", "E6"])
