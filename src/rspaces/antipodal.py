@@ -182,42 +182,60 @@ def _orbit_bfs(
     per coordinate), no point is produced twice, and only the current level
     and the next are held unless the points are kept.  `limit` is the
     predicted orbit size: passing it means the rule is wrong.
+
+    A coordinate of w v is the pairing of the root w^-1 alpha_j with v, so it
+    is at most h * max(v) in size, h the largest root height.  The widest
+    value formed is v_k + |C[k][j]| * v_j, or the 2 * v_j of a child, so
+    levels are int8 when (1 + max(1, max |C[k][j]|)) * h * max(v) fits and
+    int16 otherwise.  Prefix counts fit too: they are at most the rank r, and
+    r <= h because every coefficient of the highest root is at least 1.
     """
     import numpy as np
 
     cartan = system.cartan
-    below = [[k for k in range(j) if cartan[k][j]] for j in range(system.rank)]
-    # Slot s pairs node j with its s-th neighbour k < j and the lift -C[k][j].
-    # A node without one is paired with itself, which can discount only v_j,
-    # and v_j of a kept parent is positive.
-    slots = []
-    for s in range(max(map(len, below))):
-        ks = [nb[s] if s < len(nb) else j for j, nb in enumerate(below)]
-        lifts = [-cartan[k][j] for j, k in enumerate(ks)]
-        slots.append((np.array(ks), np.array(lifts, dtype=np.int16)[:, None]))
-    matrix = np.array(cartan, dtype=np.int16)
-    level = np.array(start, dtype=np.int16).reshape(-1, 1)
+    r = system.rank
+    # off the diagonal C is <= 0, and a rank-1 matrix is (2), so this is max(1, max |C[k][j]|)
+    lift = max(1, -min(map(min, cartan)))
+    bound = (1 + lift) * sum(system.highest_root) * max(start)
+    if bound > np.iinfo(np.int16).max:
+        raise AssertionError(f"{system.type}: orbit values up to {bound} do not fit in int16")
+    dtype = np.int8 if bound <= np.iinfo(np.int8).max else np.int16
+    # Offset d lifts row j - d by row j: -C[j-d][j] where they are neighbours,
+    # 0 elsewhere, where a negative v_{j-d} stays negative and is not discounted.
+    offsets = []
+    for d in range(1, r):
+        lifts = [-cartan[j - d][j] for j in range(d, r)]
+        if any(lifts):
+            offsets.append((d, np.array(lifts, dtype=dtype)[:, None]))
+    matrix = np.array(cartan, dtype=dtype)
+    level = np.array(start, dtype=dtype).reshape(-1, 1)
+    rows = np.arange(r + 1)
     sizes: list[int] = []
     collected: list[np.ndarray] = []
-    while level.shape[1]:
-        sizes.append(level.shape[1])
+    while n := level.shape[1]:
+        sizes.append(n)
         if sum(sizes) > limit:
             raise AssertionError(f"orbit enumeration passed the predicted {limit} points")
         if keep_elements:
             collected.append(level)
         neg = level < 0
-        stray = np.cumsum(neg, axis=0, dtype=np.int16)  # negatives up to j
-        for ks, lifts in slots:
-            stray -= neg[ks] & (level[ks] + lifts * level >= 0)
-        js, parents = np.nonzero((level > 0) & (stray == 0))
-        vj = level[js, parents]
-        level = level[:, parents]
-        level -= matrix[:, js] * vj
+        stray = neg.astype(dtype)  # negatives up to j, counted row by row
+        for k in range(1, r):
+            stray[k] += stray[k - 1]
+        for d, lifts in offsets:
+            stray[d:] -= neg[:-d] & (level[:-d] + lifts * level[d:] >= 0)
+        kept = np.flatnonzero((level > 0) & (stray == 0))  # j * n + parent, sorted
+        starts = rows * n  # where each row j begins in kept
+        per_j = np.diff(np.searchsorted(kept, starts))
+        vj = level.ravel().take(kept)
+        level = level.take(kept - np.repeat(starts[:-1], per_j), axis=1)
+        level -= np.repeat(matrix, per_j, axis=1) * vj
     if not keep_elements:
         return sizes, None
     points = np.concatenate(collected, axis=1)
     collected.clear()  # the levels are copied: free them before the sort
-    return sizes, points.T[np.lexsort(points[::-1])]
+    points = points.take(np.lexsort(points[::-1]), axis=1)
+    return sizes, np.ascontiguousarray(points.T, dtype=np.int16)
 
 
 def orbit(

@@ -267,18 +267,7 @@ def _write_fixtures(directory: Path) -> None:
 def _cmd_verify_all(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     results = run_all()
     if args.format == "json":
-        _emit_json(
-            [
-                {
-                    "criterion": r.number,
-                    "name": r.name,
-                    "passed": r.passed,
-                    "detail": r.detail,
-                    "elapsed_s": round(r.elapsed, 3),
-                }
-                for r in results
-            ]
-        )
+        _emit_json([r.to_dict() for r in results])
     else:
         for r in results:
             print(r.line())

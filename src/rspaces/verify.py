@@ -53,14 +53,31 @@ class CriterionResult:
     passed: bool
     detail: str
     elapsed: float
+    work: dict[str, int] | None = None  # what the criterion enumerated, where it counts
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
         return f"{status} criterion {self.number:2d} [{self.name}] {self.detail} ({self.elapsed:.1f}s)"
 
+    def to_dict(self) -> dict:
+        out = {
+            "criterion": self.number,
+            "name": self.name,
+            "passed": self.passed,
+            "detail": self.detail,
+            "elapsed_s": round(self.elapsed, 3),
+        }
+        if self.work is not None:
+            out["work"] = self.work
+        return out
+
 
 def _timed(
-    number: int, name: str, limit: float | None, body: Callable[[], tuple[bool, str]]
+    number: int,
+    name: str,
+    limit: float | None,
+    body: Callable[[], tuple[bool, str]],
+    work: dict[str, int] | None = None,
 ) -> CriterionResult:
     t0 = time.perf_counter()
     try:
@@ -71,7 +88,7 @@ def _timed(
     if passed and limit is not None and elapsed > limit:
         passed = False
         detail += f"; exceeded {limit:.0f}s budget"
-    return CriterionResult(number, name, passed, detail, elapsed)
+    return CriterionResult(number, name, passed, detail, elapsed, work)
 
 
 def criterion_1_classification() -> CriterionResult:
@@ -155,8 +172,9 @@ def criterion_5_extrinsic() -> CriterionResult:
 
 
 def criterion_6_orbit_agreement() -> CriterionResult:
+    work = {"orbits": 0, "points": 0}
+
     def body() -> tuple[bool, str]:
-        n_orbits = 0
         for rst in standard_types():
             if ant.weyl_group_order(rst) > WEYL_ENUMERATION_CAP:
                 continue
@@ -165,19 +183,22 @@ def criterion_6_orbit_agreement() -> CriterionResult:
                 res = ant.orbit(system, I, enumerate=True)  # raises on disagreement
                 if res.method != "both":
                     return False, f"{rst} {I}: enumeration did not run"
-                n_orbits += 1
+                work["orbits"] += 1
+                work["points"] += res.size
         for n in range(2, 9):
             system = build(RootSystemType("A", n - 1))
             for k in range(1, n):
                 got = ant.two_number(system, IndexSet.of(k))
                 if got != math.comb(n, k):
                     return False, f"A{n-1} {{{k}}}: two-number {got} != C({n},{k})"
-        return True, f"{n_orbits} orbits agree with the order formula; A-type binomials exact"
+        return True, f"{work['orbits']} orbits agree with the order formula; A-type binomials exact"
 
-    return _timed(6, "antipodal orbit agreement", 60.0, body)
+    return _timed(6, "antipodal orbit agreement", 60.0, body, work)
 
 
 def criterion_7_weyl_orders() -> CriterionResult:
+    work = {"orbits": 0, "points": 0}
+
     def body() -> tuple[bool, str]:
         checked = []
         for rst in standard_types():
@@ -187,12 +208,14 @@ def criterion_7_weyl_orders() -> CriterionResult:
             res = ant.orbit(system, IndexSet.full(rst.rank), enumerate=True)
             if res.method != "both":
                 return False, f"{rst}: regular orbit was not enumerated"
+            work["orbits"] += 1
+            work["points"] += res.size
             if res.size != ant.weyl_group_order(rst):
                 return False, f"{rst}: regular orbit {res.size} != |W|"
             checked.append(str(rst))
         return True, f"regular orbits match closed forms: {', '.join(checked)}"
 
-    return _timed(7, "Weyl order cross-validation", 120.0, body)
+    return _timed(7, "Weyl order cross-validation", 120.0, body, work)
 
 
 def criterion_8_maximality() -> CriterionResult:

@@ -13,6 +13,7 @@ def _run(criterion):
     result = criterion()
     print(result.line())
     assert result.passed, result.line()
+    return result
 
 
 def test_criterion_01_classification_reproduction():
@@ -42,12 +43,14 @@ def test_criterion_05_extrinsic_subsets():
 
 def test_criterion_06_orbit_agreement():
     """BFS orbit size equals |W|/|W_parabolic| for every admissible set; A-type binomials."""
-    _run(verify.criterion_6_orbit_agreement)
+    result = _run(verify.criterion_6_orbit_agreement)
+    assert result.work == {"orbits": 969, "points": 52_794_254}
 
 
 def test_criterion_07_weyl_order_cross_validation():
     """Enumerated regular orbits reproduce the closed-form Weyl orders."""
-    _run(verify.criterion_7_weyl_orders)
+    result = _run(verify.criterion_7_weyl_orders)
+    assert result.work == {"orbits": 28, "points": 5_103_828}
 
 
 @pytest.mark.parametrize("raw", ["1", "abc"])

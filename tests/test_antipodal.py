@@ -3,7 +3,9 @@
 import bisect
 import math
 import random
+import tracemalloc
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -232,7 +234,68 @@ def test_root_heights_fit_int16():
     # the keep test forms v_k + |C[k][j]| * v_j: at most 29 + 3 * 29
     lift = max(-c for t in standard_types() for row in build(t).cartan for c in row)
     assert lift == 3
-    assert max(heights.values()) * (1 + lift) < np.iinfo(np.int16).max
+    assert max(heights.values()) * (1 + lift) == 116 <= np.iinfo(np.int8).max
+    # so every standard type enumerates xi_I's orbit in int8 levels
+    bounds = {t: level_bound(build(t), 1) for t in standard_types()}
+    assert all(b <= np.iinfo(np.int8).max for b in bounds.values())
+    assert max(bounds.values()) == bounds[rst("E", 8)] == 58
+
+
+def level_bound(system, top):
+    """(1 + max(1, max off-diagonal |C[k][j]|)) * largest root height * top start entry."""
+    r = system.rank
+    off = [abs(system.cartan[k][j]) for k in range(r) for j in range(r) if k != j]
+    return (1 + max([1, *off])) * max(map(sum, system.positive_roots)) * top
+
+
+@pytest.mark.parametrize(
+    "fam,r,start,bound",
+    [
+        ("A", 63, xi_vector(IndexSet.of(1, 63), 63), 126),
+        ("A", 64, xi_vector(IndexSet.of(1, 64), 64), 128),
+        ("A", 1, (63,), 126),
+        ("A", 1, (64,), 128),
+        ("A", 2, (31, 31), 124),
+        ("A", 2, (100, 100), 400),  # coordinates up to 200: int8 would wrap
+        ("G", 2, (6, 6), 120),
+        ("G", 2, (40, 40), 800),
+    ],
+)
+def test_orbit_bfs_width_switch(fam, r, start, bound):
+    # levels are int8 up to a bound of 127 and int16 above: both sides agree with the oracle
+    system = build(rst(fam, r))
+    assert level_bound(system, max(start)) == bound
+    want_sizes, want_points = tree_bfs_by_rule(system, start)
+    sizes, points = _orbit_bfs(system, start, sum(want_sizes), keep_elements=True)
+    assert sizes == want_sizes
+    assert points.dtype == np.int16 and points.flags.c_contiguous
+    assert points.shape == want_points.shape and points.tobytes() == want_points.tobytes()
+
+
+def test_orbit_bfs_refuses_values_beyond_int16():
+    # a stand-in rank-1 system whose only root has height h: its levels need 2h
+    def stand_in(h):
+        return SimpleNamespace(type=f"X1(h={h})", rank=1, cartan=((2,),), highest_root=(h,))
+
+    sizes, points = _orbit_bfs(stand_in(16383), (1,), 2, keep_elements=True)
+    assert sizes == [1, 1] and points.tolist() == [[-1], [1]]
+    with pytest.raises(AssertionError, match="32768 do not fit in int16"):
+        _orbit_bfs(stand_in(16384), (1,), 2, keep_elements=False)
+
+
+def test_orbit_keep_elements_peak_memory():
+    # the points are sorted while still int8 and widened once, so the peak
+    # stays under twice the int16 result
+    system = build(rst("E", 6))
+    orbit(build(rst("A", 2)), IndexSet.of(1), keep_elements=True)  # warm up
+    tracemalloc.start()
+    try:
+        res = orbit(system, IndexSet.full(6), keep_elements=True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert res.elements.array.nbytes == 51840 * 6 * 2
+    assert peak <= 2 * res.elements.array.nbytes
 
 
 def test_orbit_beyond_rank_64():

@@ -301,6 +301,20 @@ def test_verify_all_json_reports_elapsed(monkeypatch, capsys):
     assert [row["elapsed_s"] for row in rows] == [0.123, 7.0]
 
 
+def test_verify_all_json_reports_work(monkeypatch, capsys):
+    import rspaces.cli as cli
+    from rspaces.verify import CriterionResult
+
+    plain = CriterionResult(1, "stub", True, "fine", 0.5)
+    counted = CriterionResult(6, "stub", True, "fine", 0.5, {"orbits": 3, "points": 40})
+    monkeypatch.setattr(cli, "run_all", lambda: [plain, counted])
+    assert main(["verify-all", "--format", "json"]) == 0
+    rows = json.loads(capsys.readouterr().out)
+    assert "work" not in rows[0] and rows[1]["work"] == {"orbits": 3, "points": 40}
+    assert main(["verify-all"]) == 0
+    assert "orbits" not in capsys.readouterr().out  # the plain lines carry no counters
+
+
 # ---------------------------------------------------------------------------
 # golden docs stay in sync with the code
 
