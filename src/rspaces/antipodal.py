@@ -177,7 +177,7 @@ def _orbit_bfs(
     before j must be at a neighbour that the lift brings to >= 0.  The test
     runs for every j of a level at once, as a prefix count of negative
     coordinates less the lifted neighbours, and only kept children are built,
-    so a level costs a few array operations whatever its rank.  Level n holds
+    so a level costs a few array operations per coordinate.  Level n holds
     the minimal coset representatives of length n, stored rank-major (one row
     per coordinate), no point is produced twice, and only the current level
     and the next are held unless the points are kept.  `limit` is the
