@@ -41,6 +41,8 @@ def reflect(v: CoweightVector, j: int, system: RootSystem) -> CoweightVector:
     r = system.rank
     if not 1 <= j <= r:
         raise IndexError(f"index {j} out of range for rank {r}")
+    if len(v) != r:
+        raise ValueError(f"vector of length {len(v)} does not match rank {r}")
     c = system.cartan
     vj = v[j - 1]
     return tuple(v[k] - vj * c[k][j - 1] for k in range(r))

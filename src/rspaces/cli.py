@@ -164,7 +164,10 @@ def _cmd_orbit(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
         )
     if args.dump is not None and res.elements is not None:
         # the bytes of elements_to_bytes, written from the array without a copy
-        Path(args.dump).write_bytes(res.elements.array.astype("<i2", copy=False))
+        try:
+            Path(args.dump).write_bytes(res.elements.array.astype("<i2", copy=False))
+        except OSError as exc:
+            parser.error(f"cannot write --dump: {exc}")
     if args.format == "json":
         _emit_json(_orbit_payload(system, I, res, include_elements=args.elements))
     else:
@@ -265,14 +268,18 @@ def _write_fixtures(directory: Path) -> None:
 
 
 def _cmd_verify_all(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+    if args.fixtures_dir is not None:
+        # first, so that a bad path is refused before any criterion runs
+        try:
+            _write_fixtures(Path(args.fixtures_dir))
+        except OSError as exc:
+            parser.error(f"cannot write --fixtures-dir: {exc}")
     results = run_all()
     if args.format == "json":
         _emit_json([r.to_dict() for r in results])
     else:
         for r in results:
             print(r.line())
-    if args.fixtures_dir is not None:
-        _write_fixtures(Path(args.fixtures_dir))
     return 0 if all(r.passed for r in results) else 1
 
 

@@ -11,8 +11,8 @@ vanishing on I.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Iterable, Iterator
+from itertools import combinations, product
+from typing import Iterable, Iterator, Sequence
 
 from .admissible import IndexSet, check_index_set, is_admissible
 from .roots import Root, RootSystem
@@ -20,22 +20,18 @@ from .roots import Root, RootSystem
 
 def _reduced_echelon(masks: Iterable[int]) -> tuple[int, ...]:
     """Reduced GF(2) row-echelon basis; pivot = lowest set bit, rows sorted by pivot."""
-    rows: dict[int, int] = {}
+    rows: dict[int, int] = {}  # pivot bit -> row
     for m in masks:
-        cur = m
-        while cur:
-            p = cur & -cur
-            if p in rows:
-                cur ^= rows[p]
-            else:
-                rows[p] = cur
-                break
-    pivots = sorted(rows)
-    for p in pivots:
-        for q in pivots:
-            if q != p and rows[q] & p:
-                rows[q] ^= rows[p]
-    return tuple(rows[p] for p in pivots)
+        for p, row in rows.items():
+            if m & p:
+                m ^= row
+        if m:
+            p = m & -m
+            for q, row in rows.items():
+                if row & p:
+                    rows[q] = row ^ m
+            rows[p] = m
+    return tuple(rows[p] for p in sorted(rows))
 
 
 def _in_span(mask: int, basis: tuple[int, ...]) -> bool:
@@ -116,27 +112,30 @@ def gamma_full(I: IndexSet, rank: int) -> GammaSubgroup:
 def all_subgroups(rank: int) -> Iterator[GammaSubgroup]:
     """Every GF(2) subgroup of the rank-r involution group, echelon-enumerated.
 
-    Each subspace appears exactly once via its unique reduced echelon basis:
-    row p has its pivot at bit p and free bits only at later non-pivot
-    positions, so the rows are reduced as built.  Deterministic order by
-    (dimension, pivot set, free bits).
+    Deterministic order by (dimension, pivot set, free bits); see _echelon_bases.
     """
-    for k in range(rank + 1):
-        for pivots in combinations(range(rank), k):
-            pivot_set = set(pivots)
-            free = [[q for q in range(p + 1, rank) if q not in pivot_set] for p in pivots]
-            total = sum(len(f) for f in free)
-            for bits in range(1 << total):
-                rows = []
-                off = 0
-                for p, positions in zip(pivots, free):
-                    m = 1 << p
-                    for q in positions:
-                        if (bits >> off) & 1:
-                            m |= 1 << q
-                        off += 1
-                    rows.append(m)
-                yield GammaSubgroup(rank, tuple(rows))
+    yield from _echelon_bases(rank, range(rank))
+
+
+def _echelon_bases(rank: int, positions: Sequence[int]) -> Iterator[GammaSubgroup]:
+    """Every subgroup of the one spanned by the single bits at increasing positions.
+
+    Each subspace appears exactly once via its unique reduced echelon basis:
+    the row with pivot p has free bits only at later non-pivot positions, so
+    the rows are reduced as built.  Order is by dimension, then pivot set,
+    then free bits, the first row's lowest free bit varying fastest.
+    """
+    for k in range(len(positions) + 1):
+        for pivots in combinations(positions, k):
+            choices = []  # each pivot's rows, last pivot first: product() varies row 0 fastest
+            for p in reversed(pivots):
+                rows = [1 << p]
+                for q in positions:
+                    if q > p and q not in pivots:
+                        rows += [row | 1 << q for row in rows]
+                choices.append(rows)
+            for rows in product(*choices):
+                yield GammaSubgroup(rank, rows[::-1])
 
 
 @dataclass(frozen=True)
@@ -241,19 +240,10 @@ def minimal_triple_subgroups(
     """
     if not is_admissible(system, I):
         raise ValueError(f"{I} is not admissible for {system.type}")
-    positions = list(I)
-    k = len(positions)
-    if k > max_dim:
-        raise ValueError(f"|I| = {k} exceeds the subspace-enumeration bound {max_dim}")
-    # Bit t of a rank-k mask stands for index positions[t]; that map keeps bit
-    # order, so a lifted reduced echelon basis is still reduced and sorted.
-    lift = [0]
-    for p in positions:
-        lift += [m | 1 << (p - 1) for m in lift]
-    triples = []
-    for small in all_subgroups(k):
-        sub = GammaSubgroup(system.rank, tuple(lift[b] for b in small.basis))
-        if is_triple(system, I, sub):
-            triples.append(sub)
+    if len(I) > max_dim:
+        raise ValueError(f"|I| = {len(I)} exceeds the subspace-enumeration bound {max_dim}")
+    triples = [
+        sub for sub in _echelon_bases(system.rank, [j - 1 for j in I]) if is_triple(system, I, sub)
+    ]
     minimal = [s for s in triples if not any(t != s and t.issubgroup_of(s) for t in triples)]
     return sorted(minimal, key=lambda s: (s.dim, s.basis))

@@ -2,17 +2,16 @@
 
 Every root is a tuple of non-negative integer coefficients (c_1, ..., c_r)
 with respect to the simple roots in Bourbaki numbering.  Every system is
-generated from its Cartan matrix by root-string closure.  The non-reduced
-BC_r has the simple roots and Cartan matrix of B_r, and its roots are those
-of B_r plus 2a for each short root a = e_i (Bourbaki, Lie Groups and Lie
-Algebras, Ch. VI, Sec. 1.4 and Plate II).
+generated from its Cartan matrix by raising the simple roots with simple
+reflections.  The non-reduced BC_r has the simple roots and Cartan matrix
+of B_r, and its roots are those of B_r plus 2a for each short root a = e_i
+(Bourbaki, Lie Groups and Lie Algebras, Ch. VI, Sec. 1.4 and Plate II).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import compress
-from operator import add
 from typing import Iterable
 
 Root = tuple[int, ...]
@@ -165,7 +164,8 @@ def build(rst: RootSystemType) -> RootSystem:
         return _BUILT[rst]
     cartan = cartan_matrix(rst)
     r = rst.rank
-    roots = _generate_by_closure(cartan)
+    simple = tuple(tuple(1 if k == j else 0 for k in range(r)) for j in range(r))
+    roots = _raise_simple_roots(simple, cartan)
     if rst.family == "BC":
         # the short roots e_i of B_r are those with c_r = 1; BC_r adds each 2e_i
         roots |= {tuple(2 * c for c in root) for root in roots if root[-1] == 1}
@@ -176,7 +176,6 @@ def build(rst: RootSystemType) -> RootSystem:
     highest = max(roots, key=sum)
     if any(any(c > h for c, h in zip(root, highest)) for root in roots):
         raise AssertionError(f"{rst}: no coefficient-wise maximal root")
-    simple = tuple(tuple(1 if k == j else 0 for k in range(r)) for j in range(r))
     masks = tuple(
         (
             sum(1 << k for k, c in enumerate(root) if c & 1),
@@ -219,42 +218,26 @@ def positive_root_count(rst: RootSystemType) -> int:
     return _EXCEPTIONAL_COUNTS[(rst.family, rst.rank)]
 
 
-def _generate_by_closure(cartan: tuple[tuple[int, ...], ...]) -> set[Root]:
-    """Positive roots of the reduced system with the given Cartan matrix.
+def _raise_simple_roots(simple: tuple[Root, ...], cartan: tuple[tuple[int, ...], ...]) -> set[Root]:
+    """Positive roots of the reduced system with these simple roots and Cartan matrix.
 
-    Starts from the simple roots and repeatedly extends root strings: for a
-    known root b and simple root alpha_j, b + alpha_j is a root exactly when
-    the string through b in direction j has not been exhausted, i.e. when
-    p - <b, alpha_j^vee> >= 1 with p the number of backward steps that stay
-    in the system.  Processing by height keeps the backward string known.
-    Each root carries its pairing vector (<b, alpha_j^vee>)_j, and that of
-    b + alpha_j is b's plus row j of the Cartan matrix.
+    Every positive root is a simple root raised by simple reflections
+    (Humphreys, Introduction to Lie Algebras, 10.2-10.3): when
+    <b, alpha_j^vee> < 0, s_j b = b - <b, alpha_j^vee> alpha_j is a higher
+    positive root.  Each root carries its pairing vector (<b, alpha_k^vee>)_k;
+    that of s_j b is b's minus <b, alpha_j^vee> times row j of the Cartan matrix.
     """
-    r = len(cartan)
-    # root -> its pairing vector; a simple root's is its Cartan row
-    roots: dict[Root, tuple[int, ...]] = {
-        tuple(1 if k == j else 0 for k in range(r)): cartan[j] for j in range(r)
-    }
-    current = dict(roots)
-    while current:
-        nxt: dict[Root, tuple[int, ...]] = {}
-        for beta, pairings in current.items():
-            for j, pairing in enumerate(pairings):
-                p = 0
-                lower = list(beta)
-                while True:
-                    lower[j] -= 1
-                    if lower[j] < 0 or tuple(lower) not in roots:
-                        break
-                    p += 1
-                if p - pairing >= 1:
-                    new = list(beta)
-                    new[j] += 1
-                    cand = tuple(new)
-                    if cand not in roots:
-                        roots[cand] = nxt[cand] = tuple(map(add, pairings, cartan[j]))
-        current = nxt
-    return set(roots)
+    todo = list(zip(simple, cartan))  # (root, pairing vector); a simple root's is its Cartan row
+    roots = set(simple)
+    while todo:
+        b, pairings = todo.pop()
+        for j, pairing in enumerate(pairings):
+            if pairing < 0:
+                raised = (*b[:j], b[j] - pairing, *b[j + 1 :])
+                if raised not in roots:
+                    roots.add(raised)
+                    todo.append((raised, tuple(p - pairing * c for p, c in zip(pairings, cartan[j]))))
+    return roots
 
 
 def coefficient(root: Root, j: int) -> int:

@@ -18,7 +18,7 @@ from . import admissible as adm
 from . import antipodal as ant
 from . import gamma as gam
 from .admissible import IndexSet
-from .roots import RootSystem, RootSystemType, build
+from .roots import FAMILIES, RootSystem, RootSystemError, RootSystemType, build
 
 CLASSICAL_MAX_RANK = 8
 WEYL_ENUMERATION_CAP = 3 * 10**6  # admits E7 (|W| = 2,903,040), not D8 or B8
@@ -27,23 +27,14 @@ RANDOM_CASES = 10**4
 
 
 def standard_types(max_rank: int = CLASSICAL_MAX_RANK) -> Iterator[RootSystemType]:
-    """Every family at every rank up to max_rank, deterministic order."""
-    for r in range(1, max_rank + 1):
-        yield RootSystemType("A", r)
-    for fam in ("B", "C"):
-        for r in range(2, max_rank + 1):
-            yield RootSystemType(fam, r)
-    for r in range(4, max_rank + 1):
-        yield RootSystemType("D", r)
-    for r in (6, 7, 8):
-        if r <= max_rank:
-            yield RootSystemType("E", r)
-    if max_rank >= 4:
-        yield RootSystemType("F", 4)
-    if max_rank >= 2:
-        yield RootSystemType("G", 2)
-    for r in range(1, max_rank + 1):
-        yield RootSystemType("BC", r)
+    """Every family at every rank up to max_rank that the family admits, deterministic order."""
+    for fam in FAMILIES:
+        for r in range(1, max_rank + 1):
+            try:
+                rst = RootSystemType(fam, r)
+            except RootSystemError:
+                continue
+            yield rst
 
 
 @dataclass

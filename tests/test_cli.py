@@ -237,6 +237,11 @@ def test_subgroups_preset(capsys):
         # shifted into a mask or printed
         ("check", "A", "3", "--set", "10000000"),
         ("check", "A", "3", "--set", "1000000000000"),
+        # output paths that cannot be written; verify-all refuses its path
+        # before any criterion runs, well inside the timeout
+        ("orbit", "A", "2", "--set", "1", "--dump", "/nonexistent/d/f"),
+        ("orbit", "A", "2", "--set", "1", "--dump", str(REPO)),
+        ("verify-all", "--fixtures-dir", str(REPO / "pyproject.toml" / "docs")),
     ],
 )
 def test_usage_errors(argv):

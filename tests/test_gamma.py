@@ -1,5 +1,6 @@
 """Involution subgroups, fixed root sets, and the triple criterion."""
 
+import inspect
 from dataclasses import fields
 from itertools import combinations
 
@@ -112,6 +113,9 @@ def test_all_subgroups_counts():
     # each subspace exactly once: canonical bases are pairwise distinct
     bases = [s.basis for s in all_subgroups(4)]
     assert len(set(bases)) == len(bases)
+    # a generator function, which perfbench's tracer leaves unwrapped: a plain
+    # function returning a generator would add a traced span per call
+    assert inspect.isgeneratorfunction(all_subgroups)
 
 
 @pytest.mark.parametrize("r", range(1, 6))

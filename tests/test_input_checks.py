@@ -1,11 +1,11 @@
 """Every public (system, I) function rejects an empty or out-of-rank index set,
-every triple function a subgroup of another rank, and the library's orbit()
-ignores the CLI's budget variable."""
+every triple function a subgroup of another rank, reflect a vector of another
+length, and the library's orbit() ignores the CLI's budget variable."""
 
 import pytest
 
 from rspaces.admissible import IndexSet, admissibility_witness, closed_form, is_admissible
-from rspaces.antipodal import orbit, stabilizer_order, two_number, xi_vector
+from rspaces.antipodal import orbit, reflect, stabilizer_order, two_number, xi_vector
 from rspaces.gamma import (
     fixed_root_set,
     fixed_root_set_by_definition,
@@ -51,6 +51,10 @@ CASES = [
                  id=f"{name}-subgroup-rank-{r}")
     for name, call in SUBGROUP_CALLS.items()
     for r in (2, 6)
+] + [
+    pytest.param(lambda v: reflect(v, 1, A3), v, f"vector of length {len(v)} does not match rank 3",
+                 id=f"reflect-length-{len(v)}")
+    for v in ((1, 2, 3, 4), (1, 2))
 ]
 
 
