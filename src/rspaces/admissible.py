@@ -138,7 +138,7 @@ def enumerate_admissible(system: RootSystem) -> list[IndexSet]:
 # honest (verify_classification below).
 
 _E6_EXCLUDE_WITH_1 = ({1, 4}, {1, 5}, {1, 4, 5}, {1, 4, 6})
-_E6_EXCLUDE_WITH_6 = ({3, 6}, {4, 6}, {1, 4, 6}, {3, 4, 6})
+_E6_EXCLUDE_WITH_6 = ({3, 6}, {4, 6}, {3, 4, 6})  # sets with 1 are decided by the 1-branch
 
 _E7_SUPERSETS_WITH_1 = ({1, 2, 4, 6}, {1, 4, 5, 6})
 _E7_SUPERSETS_WITH_2 = ({2, 3, 4, 6}, {2, 3, 5, 6})

@@ -283,12 +283,12 @@ def _cmd_verify_all(parser: argparse.ArgumentParser, args: argparse.Namespace) -
     return 0 if all(r.passed for r in results) else 1
 
 
-def _add_type_args(sub: argparse.ArgumentParser) -> None:
+def _add_type_args(
+    sub: argparse.ArgumentParser, formats: tuple[str, ...] = ("plain", "json")
+) -> None:
     sub.add_argument("family", help="root-system family: A, B, C, D, E, F, G or BC")
     sub.add_argument("rank", type=int, help="rank of the system")
-    sub.add_argument(
-        "--format", choices=("plain", "json", "markdown"), default="plain", help="output format"
-    )
+    sub.add_argument("--format", choices=formats, default="plain", help="output format")
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -299,7 +299,7 @@ def make_parser() -> argparse.ArgumentParser:
     commands = parser.add_subparsers(dest="command", required=True)
 
     p = commands.add_parser("classify", help="admissible subsets of one type")
-    _add_type_args(p)
+    _add_type_args(p, formats=("plain", "json", "markdown"))
     p.set_defaults(fn=_cmd_classify)
 
     p = commands.add_parser("check", help="admissibility of one index set")
@@ -338,9 +338,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_subgroups)
 
     p = commands.add_parser("verify-all", help="run every published-claim check")
-    p.add_argument(
-        "--format", choices=("plain", "json", "markdown"), default="plain", help="output format"
-    )
+    p.add_argument("--format", choices=("plain", "json"), default="plain", help="output format")
     p.add_argument("--fixtures-dir", help="regenerate golden files into this directory")
     p.set_defaults(fn=_cmd_verify_all)
 

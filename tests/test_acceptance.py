@@ -4,15 +4,33 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines; `rspaces verify-all` drives the same checks from the command line.
 """
 
+import itertools
+from types import SimpleNamespace
+
 import pytest
 
 from rspaces import verify
 
+CRITERION_NAMES = [
+    "criterion_1_classification",
+    "criterion_2_counts",
+    "criterion_3_union_closure",
+    "criterion_4_odd_coefficient",
+    "criterion_5_extrinsic",
+    "criterion_6_orbit_agreement",
+    "criterion_7_weyl_orders",
+    "criterion_8_maximality",
+    "criterion_9_flag_example",
+    "criterion_10_properties",
+]
 
-def _run(criterion):
+
+def _run(criterion, work=None):
+    """Run one criterion; it must pass and report `work` (None where it counts nothing)."""
     result = criterion()
     print(result.line())
     assert result.passed, result.line()
+    assert result.work == work
     return result
 
 
@@ -43,14 +61,12 @@ def test_criterion_05_extrinsic_subsets():
 
 def test_criterion_06_orbit_agreement():
     """BFS orbit size equals |W|/|W_parabolic| for every admissible set; A-type binomials."""
-    result = _run(verify.criterion_6_orbit_agreement)
-    assert result.work == {"orbits": 969, "points": 52_794_254}
+    _run(verify.criterion_6_orbit_agreement, {"orbits": 969, "points": 52_794_254})
 
 
 def test_criterion_07_weyl_order_cross_validation():
     """Enumerated regular orbits reproduce the closed-form Weyl orders."""
-    result = _run(verify.criterion_7_weyl_orders)
-    assert result.work == {"orbits": 28, "points": 5_103_828}
+    _run(verify.criterion_7_weyl_orders, {"orbits": 28, "points": 5_103_828})
 
 
 @pytest.mark.parametrize("raw", ["1", "abc"])
@@ -86,6 +102,48 @@ def test_criterion_09_flag_example():
 def test_criterion_10_property_suite():
     """Involutivity, generator sufficiency, anti-monotonicity, triple-iff-admissible."""
     _run(verify.criterion_10_properties)
+
+
+# ---------------------------------------------------------------------------
+# the runner every criterion goes through
+
+
+def test_all_criteria_in_numeric_order():
+    assert [f.__name__ for f in verify.ALL_CRITERIA] == CRITERION_NAMES
+
+
+def test_raising_check_fails_with_reason(monkeypatch):
+    def boom(system):
+        raise RuntimeError("no admissible sets today")
+
+    monkeypatch.setattr(verify.adm, "enumerate_admissible", boom)
+    result = verify.criterion_2_counts()
+    assert not result.passed
+    assert result.detail == "raised RuntimeError: no admissible sets today"
+
+
+def _fake_clock(monkeypatch, step):
+    """Every criterion then measures `step` seconds between its two clock reads."""
+    ticks = itertools.count(0.0, step)
+    monkeypatch.setattr(verify, "time", SimpleNamespace(perf_counter=lambda: next(ticks)))
+
+
+def test_gate_fails_a_passing_check_that_overruns(monkeypatch):
+    _fake_clock(monkeypatch, 6.0)
+    gated = verify.criterion_1_classification()  # 5 s gate
+    assert not gated.passed and gated.elapsed == 6.0
+    assert gated.detail == "40 types, zero discrepancies; exceeded 5s budget"
+    ungated = verify.criterion_2_counts()
+    assert ungated.passed and ungated.elapsed == 6.0
+    assert ungated.detail == "A/B/C/G/BC counts exact"
+
+
+def test_gate_leaves_a_failed_check_unsuffixed(monkeypatch):
+    _fake_clock(monkeypatch, 6.0)
+    monkeypatch.setattr(verify.adm, "verify_classification", lambda rst: 1 / 0)
+    result = verify.criterion_1_classification()
+    assert not result.passed and result.elapsed == 6.0
+    assert result.detail == "raised ZeroDivisionError: division by zero"
 
 
 @pytest.fixture(scope="module", autouse=True)

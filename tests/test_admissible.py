@@ -7,6 +7,7 @@ import pytest
 from rspaces.admissible import (
     IndexSet,
     admissibility_witness,
+    all_nonempty_subsets,
     closed_form,
     enumerate_admissible,
     extrinsic_symmetric_indices,
@@ -36,12 +37,16 @@ def test_index_set_basics():
     assert 1 in I and 3 in I and 2 not in I
     assert str(I) == "{1,3}"
     assert IndexSet.of(2) | I == IndexSet.of(1, 2, 3)
+    assert IndexSet.of(1, 2) | IndexSet.of(2, 3) == IndexSet.of(1, 2, 3)  # overlapping: not XOR
+    assert IndexSet.of(2, 2) == IndexSet.of(2)  # a repeated index is set once, not toggled
     assert I & IndexSet.of(3, 4) == IndexSet.of(3)
     assert I ^ IndexSet.of(3) == IndexSet.of(1)
     assert I - IndexSet.of(1) == IndexSet.of(3)
     assert IndexSet.of(1).issubset(I) and not I.issubset(IndexSet.of(1))
     assert IndexSet.full(4).mask == 0b1111
     assert not IndexSet(0)
+    assert IndexSet().mask == 0 and not IndexSet() and list(IndexSet()) == []
+    assert [J.mask for J in all_nonempty_subsets(3)] == [1, 2, 3, 4, 5, 6, 7]
     assert sorted([IndexSet.of(3), IndexSet.of(1, 2)]) == [IndexSet.of(1, 2), IndexSet.of(3)]
 
 

@@ -12,6 +12,7 @@ import pytest
 
 from rspaces.admissible import IndexSet, enumerate_admissible
 from rspaces.antipodal import (
+    DEFAULT_ORBIT_BUDGET,
     OrbitPoints,
     _orbit_bfs,
     elements_to_bytes,
@@ -191,6 +192,17 @@ def test_orbit_budget_refusal():
     assert small.budget_exceeded and small.size == 120
     with pytest.raises(ValueError):
         orbit(build(rst("A", 4)), IndexSet.of(1), budget=0)
+    assert DEFAULT_ORBIT_BUDGET == 50_000_000
+
+
+def test_orbit_budget_edges():
+    """A budget of 1 is valid; the budget is the largest orbit that is enumerated."""
+    system, I = build(rst("A", 2)), IndexSet.of(1)  # an orbit of 3 points
+    assert orbit(system, I, enumerate=True, budget=1).budget_exceeded
+    exact = orbit(system, I, enumerate=True, budget=3)
+    assert exact.method == "both" and not exact.budget_exceeded and exact.level_sizes == (1, 1, 1)
+    short = orbit(system, I, enumerate=True, budget=2)
+    assert short.method == "order_formula" and short.budget_exceeded and short.size == 3
 
 
 def test_orbit_result_invariants():
@@ -496,6 +508,14 @@ def test_orbit_points_equal_and_hash_as_tuples():
     assert res == again and hash(res) == hash(again)
     other = orbit(system, IndexSet.of(1, 3), keep_elements=True)
     assert res.elements != other.elements and res != other
+
+
+def test_orbit_points_differ_by_bytes_shape_or_points():
+    pts = orbit(build(rst("A", 2)), IndexSet.of(1), keep_elements=True).elements
+    assert repr(pts) == "OrbitPoints(3 x 2 int16)"
+    assert pts != OrbitPoints(pts.array[::-1].copy())  # same shape, other bytes
+    assert pts != OrbitPoints(pts.array.reshape(2, 3).copy())  # same bytes, other shape
+    assert pts != tuple((-a, -b) for a, b in pts)  # same length, other points
 
 
 def test_orbit_result_hash_skips_points(monkeypatch):

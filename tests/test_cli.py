@@ -52,6 +52,16 @@ def test_classify_markdown_matches_docs(capsys):
     assert out.strip() in golden
 
 
+def test_classify_exits_1_on_disagreement(monkeypatch, capsys):
+    import rspaces.admissible
+
+    monkeypatch.setattr(rspaces.admissible, "closed_form", lambda rst, I: False)
+    code, out, _ = run(capsys, "classify", "G", "2")
+    assert code == 1
+    assert "G2: 1 admissible sets (closed form DISAGREES)" in out
+    assert "discrepancy at {1,2}: closed form False, brute force True" in out
+
+
 def test_check_not_admissible_with_witness(capsys):
     code, out, _ = run(capsys, "check", "BC", "3", "--set", "1,2,3")
     assert code == 0
@@ -91,8 +101,10 @@ def test_orbit_json_deterministic(capsys):
 
 def test_orbit_dump(tmp_path, capsys):
     dump = tmp_path / "orbit.bin"
-    code, _, _ = run(capsys, "orbit", "A", "2", "--set", "1", "--dump", str(dump))
+    code, out, _ = run(capsys, "orbit", "A", "2", "--set", "1", "--dump", str(dump))
     assert code == 0
+    # the points go to the file only, not to stdout as well
+    assert out == "orbit of xi_{1} in A2: 3 points (both)\n  weyl order 6, stabilizer 2\n"
     data = np.frombuffer(dump.read_bytes(), dtype="<i2").reshape(-1, 2)
     assert [tuple(v) for v in data.tolist()] == [(-1, 1), (0, -1), (1, 0)]
 
@@ -187,6 +199,15 @@ def test_subgroups_minimal(capsys):
     ]
 
 
+@pytest.mark.parametrize("raw,proper", [("1,2", False), ("1,2,3", True)])
+def test_subgroups_minimal_proper(capsys, raw, proper):
+    """A minimal triple subgroup is proper exactly when it is smaller than Gamma^I."""
+    code, out, _ = run(capsys, "subgroups", "A", "3", "--set", raw, "--format", "json")
+    assert code == 0
+    [minimal] = json.loads(out)["minimal_triple_subgroups"]
+    assert minimal["order"] == 4 and minimal["proper"] is proper
+
+
 def test_subgroups_gens_witness(capsys):
     code, out, _ = run(
         capsys, "subgroups", "A", "3", "--set", "1,3", "--gens", "1,3", "--format", "json"
@@ -242,6 +263,12 @@ def test_subgroups_preset(capsys):
         ("orbit", "A", "2", "--set", "1", "--dump", "/nonexistent/d/f"),
         ("orbit", "A", "2", "--set", "1", "--dump", str(REPO)),
         ("verify-all", "--fixtures-dir", str(REPO / "pyproject.toml" / "docs")),
+        # markdown is a format of classify only
+        ("check", "B", "3", "--set", "1", "--format", "markdown"),
+        ("two-number", "A", "4", "--set", "2", "--format", "markdown"),
+        ("orbit", "A", "2", "--set", "1", "--format", "markdown"),
+        ("subgroups", "A", "4", "--set", "1,2,3", "--format", "markdown"),
+        ("verify-all", "--format", "markdown"),
     ],
 )
 def test_usage_errors(argv):

@@ -6,6 +6,7 @@ from itertools import combinations
 
 import pytest
 
+from rspaces import gamma
 from rspaces.admissible import IndexSet, enumerate_admissible, is_admissible
 from rspaces.gamma import (
     GammaSubgroup,
@@ -41,19 +42,21 @@ def test_subgroup_is_its_reduced_basis():
     assert a != subgroup_span([IndexSet.of(1, 3), IndexSet.of(2)], 4)
 
 
-@pytest.mark.parametrize(
-    "basis",
-    [
-        (0b11, 0b1),  # the span of {1} and {2}, not reduced: pivot 1 recurs
-        (0b10, 0b1),  # pivots decrease
-        (0b1, 0b1),  # a repeated pivot
-        (0b1, 0),  # a zero row
-        (0b1000,),  # a bit at the rank
-        (0b101, 0b100),  # pivot 3 also set in the first row
-    ],
-)
+# each basis that is not reduced echelon, with the reason construction gives
+UNREDUCED = {
+    (0b11, 0b1): "strictly increase",  # the span of {1} and {2}, not reduced: pivot 1 recurs
+    (0b10, 0b1): "strictly increase",  # pivots decrease
+    (0b1, 0b1): "strictly increase",  # a repeated pivot
+    (0b1, 0): "zero or exceeds rank",  # a zero row
+    (0b1000,): "zero or exceeds rank",  # a bit at the rank
+    (0b101, 0b100): "not reduced",  # pivot 3 also set in the first row
+    (0b1, 0b11): "strictly increase",  # pivot 1 again, in the later row
+}
+
+
+@pytest.mark.parametrize("basis", UNREDUCED)
 def test_subgroup_rejects_unreduced_basis(basis):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=UNREDUCED[basis]):
         GammaSubgroup(3, basis)
 
 
@@ -229,6 +232,22 @@ def test_is_triple_rejects_empty_I():
 @pytest.mark.parametrize("fam,r", [("A", 3), ("B", 3), ("G", 2), ("BC", 2), ("D", 4)])
 def test_maximality_proposition(fam, r):
     assert verify_maximality_proposition(build(rst(fam, r)))
+
+
+def test_maximality_proposition_can_fail(monkeypatch):
+    """It visits every non-empty index set, and fails once they are called inadmissible."""
+    system = build(rst("A", 2))
+    seen = []
+
+    def recorded(system, I):
+        seen.append(I.mask)
+        return is_admissible(system, I)
+
+    monkeypatch.setattr(gamma, "is_admissible", recorded)
+    assert verify_maximality_proposition(system)
+    assert seen == [1, 2, 3]
+    monkeypatch.setattr(gamma, "is_admissible", lambda system, I: False)
+    assert not verify_maximality_proposition(system)
 
 
 def test_maximality_refuses_above_bound():
