@@ -12,7 +12,6 @@ reach it exactly.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import reduce
@@ -20,7 +19,7 @@ from operator import or_
 from typing import TYPE_CHECKING
 
 from .admissible import IndexSet, check_index_set, is_admissible
-from .roots import RootSystem, RootSystemType
+from .roots import RootSystem, weyl_group_order
 
 if TYPE_CHECKING:  # numpy is imported at run time only by the functions that enumerate
     import numpy as np
@@ -121,25 +120,6 @@ class OrbitResult:
         if self.elements is not None:
             out["elements"] = self.elements.array.tolist()
         return out
-
-
-def weyl_group_order(rst: RootSystemType) -> int:
-    """Order of the Weyl group; BC_r shares the B_r group."""
-    r = rst.rank
-    fam = rst.family
-    if fam == "A":
-        return math.factorial(r + 1)
-    if fam in ("B", "C", "BC"):
-        return (1 << r) * math.factorial(r)
-    if fam == "D":
-        return (1 << (r - 1)) * math.factorial(r)
-    if fam == "E":
-        return {6: 51840, 7: 2903040, 8: 696729600}[r]
-    if fam == "F":
-        return 1152
-    if fam == "G":
-        return 12
-    raise AssertionError(fam)
 
 
 def stabilizer_order(system: RootSystem, I: IndexSet) -> int:
@@ -292,10 +272,6 @@ def two_number(system: RootSystem, I: IndexSet) -> int:
     return orbit(system, I).size
 
 
-def elements_to_bytes(elements: Sequence[CoweightVector]) -> bytes:
+def elements_to_bytes(elements: OrbitPoints) -> bytes:
     """Flat little-endian int16 dump of orbit points, row-major, presorted order."""
-    import numpy as np
-
-    if isinstance(elements, OrbitPoints):
-        return elements.array.astype("<i2", copy=False).tobytes()
-    return np.array(elements, dtype="<i2").tobytes()
+    return elements.array.astype("<i2", copy=False).tobytes()

@@ -12,23 +12,25 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import compress
+from math import factorial
 from typing import Iterable
 
 Root = tuple[int, ...]
 
-FAMILIES = ("A", "B", "C", "D", "E", "F", "G", "BC")
-
-# minimal rank per family; E is special-cased to {6, 7, 8}
-_MIN_RANK = {"A": 1, "B": 2, "C": 2, "D": 4, "F": 4, "G": 2, "BC": 1}
-
-_POSITIVE_ROOT_COUNTS = {
-    "A": lambda r: r * (r + 1) // 2,
-    "B": lambda r: r * r,
-    "C": lambda r: r * r,
-    "D": lambda r: r * (r - 1),
-    "BC": lambda r: r * r + r,
+# One row per family: its least rank, its greatest rank (None: no bound), and
+# |positive roots| and |W| at rank r (Bourbaki, Lie Groups and Lie Algebras,
+# Ch. VI, Plates I-IX).  BC_r has the Weyl group of B_r.
+_FAMILY_TABLE = {
+    "A": (1, None, lambda r: r * (r + 1) // 2, lambda r: factorial(r + 1)),
+    "B": (2, None, lambda r: r * r, lambda r: 2**r * factorial(r)),
+    "C": (2, None, lambda r: r * r, lambda r: 2**r * factorial(r)),
+    "D": (4, None, lambda r: r * (r - 1), lambda r: 2 ** (r - 1) * factorial(r)),
+    "E": (6, 8, lambda r: {6: 36, 7: 63, 8: 120}[r], lambda r: {6: 51840, 7: 2903040, 8: 696729600}[r]),
+    "F": (4, 4, lambda r: 24, lambda r: 1152),
+    "G": (2, 2, lambda r: 6, lambda r: 12),
+    "BC": (1, None, lambda r: r * r + r, lambda r: 2**r * factorial(r)),
 }
-_EXCEPTIONAL_COUNTS = {("E", 6): 36, ("E", 7): 63, ("E", 8): 120, ("F", 4): 24, ("G", 2): 6}
+FAMILIES = tuple(_FAMILY_TABLE)
 
 
 class RootSystemError(ValueError):
@@ -45,17 +47,14 @@ class RootSystemType:
     def __post_init__(self) -> None:
         if self.family not in FAMILIES:
             raise RootSystemError(f"unknown family {self.family!r}; expected one of {FAMILIES}")
-        if self.family == "E":
-            if self.rank not in (6, 7, 8):
-                raise RootSystemError(f"family E requires rank in {{6, 7, 8}}, got {self.rank}")
-        elif self.family in ("F", "G"):
-            need = _MIN_RANK[self.family]
-            if self.rank != need:
-                raise RootSystemError(f"family {self.family} requires rank == {need}, got {self.rank}")
-        elif self.rank < _MIN_RANK[self.family]:
-            raise RootSystemError(
-                f"family {self.family} requires rank >= {_MIN_RANK[self.family]}, got {self.rank}"
-            )
+        least, greatest, _, _ = _FAMILY_TABLE[self.family]
+        if greatest is None:
+            if self.rank < least:
+                raise RootSystemError(f"family {self.family} requires rank >= {least}, got {self.rank}")
+        elif self.rank not in range(least, greatest + 1):
+            ranks = ", ".join(map(str, range(least, greatest + 1)))
+            rule = f"== {least}" if least == greatest else f"in {{{ranks}}}"
+            raise RootSystemError(f"family {self.family} requires rank {rule}, got {self.rank}")
 
     @property
     def reduced(self) -> bool:
@@ -213,9 +212,14 @@ def _xor_fold(columns: tuple[int, ...], mask: int) -> int:
 
 def positive_root_count(rst: RootSystemType) -> int:
     """Closed-form |positive roots| per type."""
-    if rst.family in _POSITIVE_ROOT_COUNTS:
-        return _POSITIVE_ROOT_COUNTS[rst.family](rst.rank)
-    return _EXCEPTIONAL_COUNTS[(rst.family, rst.rank)]
+    _, _, count, _ = _FAMILY_TABLE[rst.family]
+    return count(rst.rank)
+
+
+def weyl_group_order(rst: RootSystemType) -> int:
+    """Order of the Weyl group; BC_r shares the B_r group."""
+    _, _, _, order = _FAMILY_TABLE[rst.family]
+    return order(rst.rank)
 
 
 def _raise_simple_roots(simple: tuple[Root, ...], cartan: tuple[tuple[int, ...], ...]) -> set[Root]:

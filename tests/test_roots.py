@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from rspaces.roots import (
+    FAMILIES,
     RootSystemError,
     RootSystemType,
     build,
@@ -341,6 +342,41 @@ def test_rank_constraints(fam, bad_rank):
 def test_unknown_family():
     with pytest.raises(RootSystemError):
         RootSystemType("H", 4)
+
+
+def test_families_in_order():
+    assert FAMILIES == ("A", "B", "C", "D", "E", "F", "G", "BC")
+
+
+# each family's admitted ranks up to 12, and its rank rule as the error (and so
+# the CLI, on exit 2) states it
+RANK_RULES = {
+    "A": (range(1, 13), ">= 1"),
+    "B": (range(2, 13), ">= 2"),
+    "C": (range(2, 13), ">= 2"),
+    "D": (range(4, 13), ">= 4"),
+    "E": ((6, 7, 8), "in {6, 7, 8}"),
+    "F": ((4,), "== 4"),
+    "G": ((2,), "== 2"),
+    "BC": (range(1, 13), ">= 1"),
+}
+
+
+@pytest.mark.parametrize("fam", [*RANK_RULES, "H"])
+def test_rank_rule_messages(fam):
+    valid, rule = RANK_RULES.get(fam, ((), None))
+    for r in range(-1, 13):
+        if r in valid:
+            t = RootSystemType(fam, r)
+            assert (t.family, t.rank) == (fam, r)
+            continue
+        with pytest.raises(RootSystemError) as exc:
+            RootSystemType(fam, r)
+        if rule is None:
+            want = "unknown family 'H'; expected one of ('A', 'B', 'C', 'D', 'E', 'F', 'G', 'BC')"
+        else:
+            want = f"family {fam} requires rank {rule}, got {r}"
+        assert str(exc.value) == want
 
 
 def test_reduced_flag():
