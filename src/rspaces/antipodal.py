@@ -272,6 +272,6 @@ def two_number(system: RootSystem, I: IndexSet) -> int:
     return orbit(system, I).size
 
 
-def elements_to_bytes(elements: OrbitPoints) -> bytes:
-    """Flat little-endian int16 dump of orbit points, row-major, presorted order."""
-    return elements.array.astype("<i2", copy=False).tobytes()
+def elements_to_bytes(elements: OrbitPoints) -> memoryview:
+    """Read-only little-endian int16 byte view of the points, row-major; a copy on big-endian hosts only."""
+    return memoryview(elements.array.astype("<i2", copy=False)).cast("B").toreadonly()

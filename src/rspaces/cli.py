@@ -27,8 +27,7 @@ from . import admissible as adm
 from . import antipodal as ant
 from . import gamma as gam
 from .admissible import IndexSet
-from .roots import RootSystem, RootSystemError, RootSystemType, build, to_json
-from .verify import run_all, standard_types
+from .roots import RootSystem, RootSystemError, RootSystemType, build, standard_types, to_json
 
 FIXTURE_TYPES = ("A3", "B3", "C3", "D4", "BC2", "F4", "G2", "E6")
 BUDGET_ENV_VAR = "RSPACES_ORBIT_BUDGET"
@@ -163,9 +162,8 @@ def _cmd_orbit(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
             file=sys.stderr,
         )
     if args.dump is not None and res.elements is not None:
-        # the bytes of elements_to_bytes, written from the array without a copy
         try:
-            Path(args.dump).write_bytes(res.elements.array.astype("<i2", copy=False))
+            Path(args.dump).write_bytes(ant.elements_to_bytes(res.elements))
         except OSError as exc:
             parser.error(f"cannot write --dump: {exc}")
     if args.format == "json":
@@ -197,49 +195,41 @@ def _subgroup_analysis(system: RootSystem, I: IndexSet, sub: gam.GammaSubgroup) 
 
 def _cmd_subgroups(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     rst = _parse_type(parser, args.family, args.rank)
-    system = build(rst)
-    if args.preset is not None:
-        if args.preset != "a-r-flag-example":
-            parser.error(f"unknown preset {args.preset!r}")
+    if args.preset is not None:  # a-r-flag-example is --set i1,i2,i3 --gens "i1,i3;i2"
         if rst.family != "A":
             parser.error("preset a-r-flag-example requires family A")
         if not args.params:
             parser.error("preset a-r-flag-example requires --params i1,i2,i3")
-        i = _parse_set(parser, args.params, rst.rank)
-        if len(i) != 3:
+        params = _parse_set(parser, args.params, rst.rank)
+        if len(params) != 3:
             parser.error("--params must name three distinct indices i1<i2<i3")
-        i1, i2, i3 = i.indices
-        I = i
-        sub = gam.subgroup_span([IndexSet.of(i1, i3), IndexSet.of(i2)], rst.rank)
-        payload = _subgroup_analysis(system, I, sub)
-        payload["preset"] = args.preset
-    elif args.gens is not None:
-        if not args.set:
-            parser.error("--gens requires --set")
-        I = _parse_set(parser, args.set, rst.rank)
+        i1, i2, i3 = params
+        args.set, args.gens = args.params, f"{i1},{i3};{i2}"
+    if not args.set:
+        parser.error("--gens requires --set" if args.gens is not None else "subgroups requires --set (or --preset)")
+    I = _parse_set(parser, args.set, rst.rank)
+    system = build(rst)
+    if args.gens is not None:
         gens = [_parse_set(parser, chunk, rst.rank) for chunk in args.gens.split(";") if chunk]
-        sub = gam.subgroup_span(gens, rst.rank)
-        payload = _subgroup_analysis(system, I, sub)
+        payload = _subgroup_analysis(system, I, gam.subgroup_span(gens, rst.rank))
+        if args.preset is not None:
+            payload["preset"] = args.preset
     else:
-        if not args.set:
-            parser.error("subgroups requires --set (or --preset)")
-        I = _parse_set(parser, args.set, rst.rank)
-        if not adm.is_admissible(system, I):
-            parser.error(f"{I} is not admissible for {rst}; no subgroup forms a triple")
-        try:
+        try:  # I inadmissible, or |I| past the subspace-enumeration bound
             minimal = gam.minimal_triple_subgroups(system, I)
-        except ValueError as exc:  # |I| beyond the subspace-enumeration bound
+        except ValueError as exc:
             parser.error(str(exc))
+        full_order = gam.gamma_full(I, rst.rank).order
         payload = {
             "family": rst.family,
             "rank": rst.rank,
             "set": list(I),
-            "gamma_full_order": gam.gamma_full(I, rst.rank).order,
+            "gamma_full_order": full_order,
             "minimal_triple_subgroups": [
                 {
                     "basis": [list(IndexSet(b)) for b in sub.basis],
                     "order": sub.order,
-                    "proper": sub.order < gam.gamma_full(I, rst.rank).order,
+                    "proper": sub.order < full_order,
                 }
                 for sub in minimal
             ],
@@ -274,6 +264,7 @@ def _cmd_verify_all(parser: argparse.ArgumentParser, args: argparse.Namespace) -
             _write_fixtures(Path(args.fixtures_dir))
         except OSError as exc:
             parser.error(f"cannot write --fixtures-dir: {exc}")
+    from .verify import run_all  # imported here: no other command needs the acceptance suite
     results = run_all()
     if args.format == "json":
         _emit_json([r.to_dict() for r in results])
@@ -333,7 +324,7 @@ def make_parser() -> argparse.ArgumentParser:
     _add_type_args(p)
     p.add_argument("--set", help="index set I")
     p.add_argument("--gens", help="semicolon-separated generator sets, e.g. '1,3;2'")
-    p.add_argument("--preset", help="named scenario: a-r-flag-example")
+    p.add_argument("--preset", choices=("a-r-flag-example",), help="named scenario")
     p.add_argument("--params", help="preset parameters, e.g. 1,2,3")
     p.set_defaults(fn=_cmd_subgroups)
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import compress
 from math import factorial
-from typing import Iterable
+from typing import Iterable, Iterator
 
 Root = tuple[int, ...]
 
@@ -33,6 +33,13 @@ _FAMILY_TABLE = {
 FAMILIES = tuple(_FAMILY_TABLE)
 
 
+def standard_types(max_rank: int = 8) -> Iterator[RootSystemType]:
+    """Every family at every rank up to max_rank that the family admits, in table order."""
+    for fam, (least, greatest, _, _) in _FAMILY_TABLE.items():
+        for r in range(least, min(max_rank, greatest or max_rank) + 1):
+            yield RootSystemType(fam, r)
+
+
 class RootSystemError(ValueError):
     """Raised for invalid root-system parameters or queries."""
 
@@ -47,6 +54,8 @@ class RootSystemType:
     def __post_init__(self) -> None:
         if self.family not in FAMILIES:
             raise RootSystemError(f"unknown family {self.family!r}; expected one of {FAMILIES}")
+        if type(self.rank) is not int:  # bool, float and str ranks pass or break the rule below
+            raise RootSystemError(f"rank must be an int, got {self.rank!r}")
         least, greatest, _, _ = _FAMILY_TABLE[self.family]
         if greatest is None:
             if self.rank < least:

@@ -90,8 +90,9 @@ def test_criterion_07_requires_enumeration(monkeypatch):
 
 
 def test_criterion_08_subgroup_maximality():
-    """Every triple forces the subgroup inside Gamma^I with I admissible (rank <= 4)."""
-    _run(verify.criterion_8_maximality)
+    """Every triple forces the subgroup inside Gamma^I with I admissible (rank <= 7)."""
+    result = _run(verify.criterion_8_maximality, {"systems": 34, "subgroups": 194_587})
+    assert result.detail == "exhaustive over all subgroups, 34 systems at rank <= 7"
 
 
 def test_criterion_09_flag_example():

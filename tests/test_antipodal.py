@@ -531,9 +531,13 @@ def test_orbit_result_hash_skips_points(monkeypatch):
 
 
 def test_elements_to_bytes_equals_points_as_int16():
-    # the dump reads the kept array; its bytes are the tuples' as little-endian int16
+    # the dump is a read-only byte view of the kept array, with no copy on a
+    # little-endian host; its bytes are the tuples' as little-endian int16
     for fam, r, m in (("E", 6, 0b111111), ("C", 3, 0b100), ("A", 1, 1)):
         res = orbit(build(rst(fam, r)), IndexSet(m), keep_elements=True)
         raw = elements_to_bytes(res.elements)
         assert raw == np.array(tuple(res.elements), dtype="<i2").tobytes()
         assert len(raw) == res.size * r * 2
+        assert isinstance(raw, memoryview) and raw.readonly and raw.format == "B"
+        if np.little_endian:
+            assert np.shares_memory(np.frombuffer(raw, dtype="<i2"), res.elements.array)

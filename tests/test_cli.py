@@ -166,13 +166,13 @@ run("subgroups", "A", "4", "--set", "1,2,3")
 run("orbit", "E", "7", "--set", "1,2,3,4,5,6,7")
 print("numpy" in sys.modules)
 run("orbit", "A", "4", "--set", "2", "--enumerate")
-print("numpy" in sys.modules)
+print("numpy" in sys.modules, "rspaces.verify" in sys.modules)
 """
     env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
     out = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
     ).stdout
-    assert out == "False\nTrue\n"
+    assert out == "False\nTrue False\n"  # only verify-all loads the acceptance suite
 
 
 def test_orbit_budget_exceeded_not_strict(capsys):
@@ -231,6 +231,31 @@ def test_subgroups_preset(capsys):
     assert payload["subgroup_order"] == 4
 
 
+@pytest.mark.parametrize("fmt", ["plain", "json"])
+def test_subgroups_preset_is_set_and_gens(capsys, fmt):
+    """The preset is --set i1,i2,i3 --gens "i1,i3;i2", plus its own key."""
+    _, preset, _ = run(
+        capsys, "subgroups", "A", "5", "--preset", "a-r-flag-example", "--params", "1,3,5",
+        "--format", fmt,
+    )
+    _, gens, _ = run(capsys, "subgroups", "A", "5", "--set", "1,3,5", "--gens", "1,5;3", "--format", fmt)
+    if fmt == "json":
+        assert json.loads(preset) == {**json.loads(gens), "preset": "a-r-flag-example"}
+    else:
+        assert preset == gens + "preset: a-r-flag-example\n"
+
+
+def test_subgroups_refuses_set_before_build(monkeypatch, capsys):
+    import rspaces.cli as cli
+
+    def no_build(rst):
+        raise AssertionError("build() ran before --set was checked")
+
+    monkeypatch.setattr(cli, "build", no_build)
+    assert run_expecting_usage_error("subgroups", "A", "5", "--set", "6") == 2
+    assert "exceeds rank 5" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # usage errors exit 2
 
@@ -251,6 +276,7 @@ def test_subgroups_preset(capsys):
         ("subgroups", "A", "5", "--preset", "a-r-flag-example", "--params", "1,2"),
         ("subgroups", "A", "5", "--gens", "1,2"),  # --gens without --set
         ("subgroups", "A", "7", "--set", "1,2,3,4,5,6,7"),  # |I| > 6
+        ("subgroups", "B", "3", "--set", "2"),  # not admissible
         ("orbit", "A", "3", "--set", "1", "--budget", "0"),
         ("orbit", "A", "3", "--set", "1", "--budget", "-5"),
         ("orbit", "A", "3", "--set", "1", "--budget", "many"),
@@ -306,26 +332,26 @@ def test_orbit_budget_env_malformed(monkeypatch, capsys, raw):
 
 
 def test_verify_all_exit_wiring(monkeypatch, capsys):
-    import rspaces.cli as cli
+    import rspaces.verify
     from rspaces.verify import CriterionResult
 
     ok = CriterionResult(1, "stub", True, "fine", 0.0)
     bad = CriterionResult(2, "stub", False, "broken", 0.0)
-    monkeypatch.setattr(cli, "run_all", lambda: [ok])
+    monkeypatch.setattr(rspaces.verify, "run_all", lambda: [ok])
     assert main(["verify-all"]) == 0
-    monkeypatch.setattr(cli, "run_all", lambda: [ok, bad])
+    monkeypatch.setattr(rspaces.verify, "run_all", lambda: [ok, bad])
     assert main(["verify-all"]) == 1
     out = capsys.readouterr().out
     assert "FAIL criterion  2" in out
 
 
 def test_verify_all_json_reports_elapsed(monkeypatch, capsys):
-    import rspaces.cli as cli
+    import rspaces.verify
     from rspaces.verify import CriterionResult
 
     fast = CriterionResult(1, "stub", True, "fine", 0.12345)
     slow = CriterionResult(2, "stub", True, "fine", 7.0)
-    monkeypatch.setattr(cli, "run_all", lambda: [fast, slow])
+    monkeypatch.setattr(rspaces.verify, "run_all", lambda: [fast, slow])
     assert main(["verify-all", "--format", "json"]) == 0
     rows = json.loads(capsys.readouterr().out)
     keys = ["criterion", "detail", "elapsed_s", "name", "passed"]
@@ -334,12 +360,12 @@ def test_verify_all_json_reports_elapsed(monkeypatch, capsys):
 
 
 def test_verify_all_json_reports_work(monkeypatch, capsys):
-    import rspaces.cli as cli
+    import rspaces.verify
     from rspaces.verify import CriterionResult
 
     plain = CriterionResult(1, "stub", True, "fine", 0.5)
     counted = CriterionResult(6, "stub", True, "fine", 0.5, {"orbits": 3, "points": 40})
-    monkeypatch.setattr(cli, "run_all", lambda: [plain, counted])
+    monkeypatch.setattr(rspaces.verify, "run_all", lambda: [plain, counted])
     assert main(["verify-all", "--format", "json"]) == 0
     rows = json.loads(capsys.readouterr().out)
     assert "work" not in rows[0] and rows[1]["work"] == {"orbits": 3, "points": 40}

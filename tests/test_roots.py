@@ -15,6 +15,7 @@ from rspaces.roots import (
     coefficient,
     evaluate_on_xi_sum,
     positive_root_count,
+    standard_types,
     to_json,
 )
 
@@ -377,6 +378,27 @@ def test_rank_rule_messages(fam):
         else:
             want = f"family {fam} requires rank {rule}, got {r}"
         assert str(exc.value) == want
+
+
+@pytest.mark.parametrize("fam,rank", [("E", 6.0), ("A", True), ("A", False), ("A", "3"), ("B", None)])
+def test_rank_must_be_int(fam, rank):
+    # refused before the rank rule, which a float or bool would pass
+    with pytest.raises(RootSystemError) as exc:
+        RootSystemType(fam, rank)
+    assert str(exc.value) == f"rank must be an int, got {rank!r}"
+
+
+@pytest.mark.parametrize("max_rank", range(13))
+def test_standard_types_read_the_family_table(max_rank):
+    def by_trial():  # every family at every rank from 1 that its rank rule admits
+        for fam in FAMILIES:
+            for r in range(1, max_rank + 1):
+                try:
+                    yield RootSystemType(fam, r)
+                except RootSystemError:
+                    continue
+
+    assert list(standard_types(max_rank)) == list(by_trial())
 
 
 def test_reduced_flag():
