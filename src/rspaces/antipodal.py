@@ -6,15 +6,20 @@ orbit of xi_I is enumerated as a tree rooted at the dominant point xi_I, in
 which every point has exactly one parent, so nothing is deduplicated.  Its
 points correspond to the minimal coset representatives of W / W_J, where the
 parabolic stabilizer W_J is generated by the simple reflections fixing xi_I.
-The size |W| / |W_J| comes first; the enumeration must stop within it and
-reach it exactly.
+The tree has depth L, the number of reduced positive roots nonzero on I, and
+the longest Weyl element w0 maps its level n onto level L - n as
+v -> -v[eps], eps the opposition involution of the Dynkin diagram (Humphreys,
+Reflection Groups and Coxeter Groups, 1.8).  So only levels 0 .. ceil(L/2)
+are walked; the rest are mirrors, checked where the two halves meet.  The
+size |W| / |W_J| comes first; the enumeration must stop within it and reach
+it exactly.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import cache, reduce
 from operator import or_
 from typing import TYPE_CHECKING
 
@@ -145,6 +150,33 @@ def stabilizer_order(system: RootSystem, I: IndexSet) -> int:
     return order
 
 
+def _tree_depth(system: RootSystem, start: CoweightVector) -> int:
+    """Depth L of the orbit tree of a dominant start: the length of w0 in W / W_J.
+
+    It is the number of reduced positive roots nonzero on the start's
+    support, read from the bitsets that stabilizer_order reads.
+    """
+    support = sum(1 << k for k, c in enumerate(start) if c)
+    return (reduce(or_, system.odd_columns) & system.nonzero_on(support)).bit_count()
+
+
+@cache
+def _opposition(cartan: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
+    """The opposition involution eps of the Dynkin diagram, 0-based: w0 alpha_k = -alpha_eps(k).
+
+    So (w0 v)_k = -v_eps(k) in dual-basis coordinates.  w0 takes the regular
+    dominant vector (1, ..., r) to its one antidominant image, reached by
+    applying s_j at the least j with v_j > 0 until no coordinate is positive;
+    there v_k = -(eps(k) + 1).
+    """
+    r = len(cartan)
+    v = list(range(1, r + 1))
+    while (j := next((j for j, c in enumerate(v) if c > 0), None)) is not None:
+        vj = v[j]
+        v = [v[k] - vj * cartan[k][j] for k in range(r)]
+    return tuple(-c - 1 for c in v)
+
+
 def _orbit_bfs(
     system: RootSystem, start: CoweightVector, limit: int, keep_elements: bool
 ) -> tuple[list[int], np.ndarray | None]:
@@ -165,12 +197,24 @@ def _orbit_bfs(
     and the next are held unless the points are kept.  `limit` is the
     predicted orbit size: passing it means the rule is wrong.
 
+    Only half of the tree is walked.  The longest element w0 maps level n
+    onto level L - n as v -> -v[eps], where the depth L comes from the roots
+    (_tree_depth) and eps is the opposition involution (_opposition).  So
+    levels 0 .. ceil(L/2) are walked, and each level L - n with
+    n < floor(L/2) is written as the mirror of level n.  Where the halves
+    meet, the walked level ceil(L/2) must have the size and the
+    per-coordinate sums of the mirror of level floor(L/2), which is the same
+    level when L is even: a wrong depth or involution fails there.  Kept
+    points fill one r x limit buffer, walked levels first and their mirrors
+    after, and are then sorted.
+
     A coordinate of w v is the pairing of the root w^-1 alpha_j with v, so it
     is at most h * max(v) in size, h the largest root height.  The widest
     value formed is v_k + |C[k][j]| * v_j, or the 2 * v_j of a child, so
     levels are int8 when (1 + max(1, max |C[k][j]|)) * h * max(v) fits and
-    int16 otherwise.  Prefix counts fit too: they are at most the rank r, and
-    r <= h because every coefficient of the highest root is at least 1.
+    int16 otherwise; a mirror only negates values within that bound.  Prefix
+    counts fit too: they are at most the rank r, and r <= h because every
+    coefficient of the highest root is at least 1.
     """
     import numpy as np
 
@@ -182,6 +226,9 @@ def _orbit_bfs(
     if bound > np.iinfo(np.int16).max:
         raise AssertionError(f"{system.type}: orbit values up to {bound} do not fit in int16")
     dtype = np.int8 if bound <= np.iinfo(np.int8).max else np.int16
+    depth = _tree_depth(system, start)
+    eps = np.array(_opposition(cartan))
+    past_limit = f"orbit enumeration passed the predicted {limit} points"
     # Offset d lifts row j - d by row j: -C[j-d][j] where they are neighbours,
     # 0 elsewhere, where a negative v_{j-d} stays negative and is not discounted.
     offsets = []
@@ -190,16 +237,11 @@ def _orbit_bfs(
         if any(lifts):
             offsets.append((d, np.array(lifts, dtype=dtype)[:, None]))
     matrix = np.array(cartan, dtype=dtype)
-    level = np.array(start, dtype=dtype).reshape(-1, 1)
     rows = np.arange(r + 1)
-    sizes: list[int] = []
-    collected: list[np.ndarray] = []
-    while n := level.shape[1]:
-        sizes.append(n)
-        if sum(sizes) > limit:
-            raise AssertionError(f"orbit enumeration passed the predicted {limit} points")
-        if keep_elements:
-            collected.append(level)
+
+    def children(level: np.ndarray) -> np.ndarray:
+        """The kept children of a level, by j and then by parent; the temporaries die on return."""
+        n = level.shape[1]
         neg = level < 0
         stray = neg.astype(dtype)  # negatives up to j, counted row by row
         for k in range(1, r):
@@ -212,10 +254,40 @@ def _orbit_bfs(
         vj = level.ravel().take(kept)
         level = level.take(kept - np.repeat(starts[:-1], per_j), axis=1)
         level -= np.repeat(matrix, per_j, axis=1) * vj
+        return level
+
+    level = np.array(start, dtype=dtype).reshape(-1, 1)
+    points = np.empty((r, limit), dtype=dtype) if keep_elements else None
+    sizes: list[int] = []
+    filled = 0  # points so far, and the next free column of points
+    while True:
+        n = level.shape[1]
+        if filled + n > limit:
+            raise AssertionError(past_limit)
+        if keep_elements:
+            points[:, filled : filled + n] = level
+        filled += n
+        sizes.append(n)
+        if len(sizes) == depth // 2 + 1:  # level floor(L/2): its mirror is level ceil(L/2)
+            seam_n, seam_sums = n, -level.sum(axis=1)[eps]
+        if len(sizes) > (depth + 1) // 2:
+            break
+        level = children(level)
+    if seam_n != n or (level.sum(axis=1) != seam_sums).any():
+        raise AssertionError(f"{system.type}: the walked half of depth {depth} misses its mirror")
+    del level  # a kept level is copied into points: free the widest one before the sort
+    mirrored = sizes[: depth // 2]
+    sizes += reversed(mirrored)
+    if sum(sizes) > limit:
+        raise AssertionError(past_limit)
     if not keep_elements:
         return sizes, None
-    points = np.concatenate(collected, axis=1)
-    collected.clear()  # the levels are copied: free them before the sort
+    src = sum(mirrored)
+    for n in reversed(mirrored):  # level L - m from level m, for m = floor(L/2) - 1 down to 0
+        src -= n
+        np.negative(points[eps, src : src + n], out=points[:, filled : filled + n])
+        filled += n
+    points = points[:, :filled]
     points = points.take(np.lexsort(points[::-1]), axis=1)
     return sizes, np.ascontiguousarray(points.T, dtype=np.int16)
 

@@ -196,6 +196,8 @@ def _subgroup_analysis(system: RootSystem, I: IndexSet, sub: gam.GammaSubgroup) 
 def _cmd_subgroups(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     rst = _parse_type(parser, args.family, args.rank)
     if args.preset is not None:  # a-r-flag-example is --set i1,i2,i3 --gens "i1,i3;i2"
+        if args.set is not None or args.gens is not None:
+            parser.error("--preset gives the set and generators itself: drop --set and --gens")
         if rst.family != "A":
             parser.error("preset a-r-flag-example requires family A")
         if not args.params:
@@ -205,6 +207,8 @@ def _cmd_subgroups(parser: argparse.ArgumentParser, args: argparse.Namespace) ->
             parser.error("--params must name three distinct indices i1<i2<i3")
         i1, i2, i3 = params
         args.set, args.gens = args.params, f"{i1},{i3};{i2}"
+    elif args.params is not None:
+        parser.error("--params requires --preset")
     if not args.set:
         parser.error("--gens requires --set" if args.gens is not None else "subgroups requires --set (or --preset)")
     I = _parse_set(parser, args.set, rst.rank)

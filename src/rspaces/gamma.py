@@ -135,7 +135,15 @@ def _echelon_bases(rank: int, positions: Sequence[int]) -> Iterator[GammaSubgrou
                         rows += [row | 1 << q for row in rows]
                 choices.append(rows)
             for rows in product(*choices):
-                yield GammaSubgroup(rank, rows[::-1])
+                yield _reduced_subgroup(rank, rows[::-1])
+
+
+def _reduced_subgroup(rank: int, basis: tuple[int, ...]) -> GammaSubgroup:
+    """A GammaSubgroup from a basis reduced by construction, skipping __post_init__'s check."""
+    sub = object.__new__(GammaSubgroup)
+    object.__setattr__(sub, "rank", rank)
+    object.__setattr__(sub, "basis", basis)
+    return sub
 
 
 @dataclass(frozen=True)

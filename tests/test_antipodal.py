@@ -10,11 +10,14 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from rspaces import antipodal
 from rspaces.admissible import IndexSet, enumerate_admissible
 from rspaces.antipodal import (
     DEFAULT_ORBIT_BUDGET,
     OrbitPoints,
+    _opposition,
     _orbit_bfs,
+    _tree_depth,
     elements_to_bytes,
     orbit,
     reflect,
@@ -285,9 +288,17 @@ def test_orbit_bfs_width_switch(fam, r, start, bound):
 
 
 def test_orbit_bfs_refuses_values_beyond_int16():
-    # a stand-in rank-1 system whose only root has height h: its levels need 2h
+    # a stand-in rank-1 system whose only root has height h: its levels need 2h;
+    # the root is odd and nonzero on node 1, so the tree has depth 1
     def stand_in(h):
-        return SimpleNamespace(type=f"X1(h={h})", rank=1, cartan=((2,),), highest_root=(h,))
+        return SimpleNamespace(
+            type=f"X1(h={h})",
+            rank=1,
+            cartan=((2,),),
+            highest_root=(h,),
+            odd_columns=(1,),
+            nonzero_on=lambda mask: 1,
+        )
 
     sizes, points = _orbit_bfs(stand_in(16383), (1,), 2, keep_elements=True)
     assert sizes == [1, 1] and points.tolist() == [[-1], [1]]
@@ -416,6 +427,69 @@ def test_orbit_bfs_matches_tree_rule_oracle(fam, r):
         assert sizes == want_sizes
         assert points.dtype == np.int16 and points.shape == want_points.shape
         assert points.tobytes() == want_points.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the mirror: w0 maps tree level n onto level L - n as v -> -v[eps]
+
+
+def diagram_opposition(t):
+    """The opposition involution written out per diagram, 0-based (Bourbaki, Plates I-IX)."""
+    r = t.rank
+    eps = list(range(r))
+    if t.family == "A":
+        eps.reverse()
+    elif t.family == "D" and r % 2:
+        eps[-2:] = [r - 1, r - 2]
+    elif t.family == "E" and r == 6:
+        eps = [5, 1, 4, 3, 2, 0]  # 1 <-> 6 and 3 <-> 5; 2 and 4 fixed
+    return tuple(eps)
+
+
+@pytest.mark.parametrize("t", [*standard_types(), rst("A", 64)], ids=str)
+def test_opposition_is_the_diagram_automorphism(t):
+    assert _opposition(build(t).cartan) == diagram_opposition(t)
+
+
+def test_tree_depth_counts_the_moving_roots():
+    # the depth is the top level of the full tree walk
+    for fam, r, I, depth in (("D", 7, (6,), 21), ("E", 6, (1, 3), 26), ("A", 8, (1,), 8)):
+        system, start = build(rst(fam, r)), xi_vector(IndexSet.of(*I), r)
+        want_sizes, _ = tree_bfs_by_rule(system, start)
+        assert _tree_depth(system, start) == depth == len(want_sizes) - 1
+    bc = build(rst("BC", 3))  # the doubled roots 2e_i are not counted
+    assert _tree_depth(bc, (1, 1, 1)) == 9 == len(bc.positive_roots) - 3
+
+
+def test_seam_check_catches_an_identity_opposition(monkeypatch):
+    # eps reverses A8, so {1} is not fixed: mirroring by the identity fails at the seam
+    system, I = build(rst("A", 8)), IndexSet.of(1)
+    monkeypatch.setattr(antipodal, "_opposition", lambda cartan: tuple(range(len(cartan))))
+    with pytest.raises(AssertionError, match="misses its mirror"):
+        orbit(system, I, enumerate=True)
+
+
+@pytest.mark.parametrize("keep", [False, True])
+@pytest.mark.parametrize("limit", [4, 6, 8])
+def test_orbit_bfs_stops_past_its_limit(keep, limit):
+    # A8 {1} has 9 points, one per level 0..8, of which levels 0..4 are walked:
+    # a limit of 4 is passed in the walk, 6 and 8 only by the mirrored levels
+    system = build(rst("A", 8))
+    with pytest.raises(AssertionError, match=f"passed the predicted {limit} points"):
+        _orbit_bfs(system, xi_vector(IndexSet.of(1), 8), limit, keep_elements=keep)
+    # a limit above the size bounds the walk and the buffer, and no more
+    sizes, points = _orbit_bfs(system, xi_vector(IndexSet.of(1), 8), 20, keep_elements=keep)
+    assert sizes == [1] * 9 and (points is None or points.shape == (9, 8))
+
+
+@pytest.mark.parametrize("fam,r,I,depth", [("D", 7, (6,), 21), ("E", 6, (1, 3), 26)])
+@pytest.mark.parametrize("off", [-1, 1])
+def test_seam_check_catches_a_wrong_depth(monkeypatch, fam, r, I, depth, off):
+    system, I = build(rst(fam, r)), IndexSet.of(*I)
+    assert _tree_depth(system, xi_vector(I, r)) == depth
+    monkeypatch.setattr(antipodal, "_tree_depth", lambda system, start: depth + off)
+    with pytest.raises(AssertionError, match="misses its mirror"):
+        orbit(system, I, enumerate=True)
 
 
 def test_stabilizer_matches_naive_orbit_quotient():

@@ -260,6 +260,9 @@ def test_subgroups_refuses_set_before_build(monkeypatch, capsys):
 # usage errors exit 2
 
 
+FLAG_PRESET = ("subgroups", "A", "5", "--preset", "a-r-flag-example", "--params", "1,3,5")
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -295,6 +298,11 @@ def test_subgroups_refuses_set_before_build(monkeypatch, capsys):
         ("orbit", "A", "2", "--set", "1", "--format", "markdown"),
         ("subgroups", "A", "4", "--set", "1,2,3", "--format", "markdown"),
         ("verify-all", "--format", "markdown"),
+        # arguments that do not apply are refused, not ignored
+        (*FLAG_PRESET, "--set", "2", "--gens", "2"),
+        (*FLAG_PRESET, "--set", "1,3,5"),
+        (*FLAG_PRESET, "--gens", "1,3;2"),
+        ("subgroups", "A", "5", "--set", "1,2", "--params", "9,9"),
     ],
 )
 def test_usage_errors(argv):

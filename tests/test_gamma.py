@@ -10,6 +10,7 @@ from rspaces import gamma
 from rspaces.admissible import IndexSet, enumerate_admissible, is_admissible
 from rspaces.gamma import (
     GammaSubgroup,
+    _echelon_bases,
     _reduced_echelon,
     all_subgroups,
     fixed_root_set,
@@ -22,7 +23,7 @@ from rspaces.gamma import (
     triple_witness,
     verify_maximality_proposition,
 )
-from rspaces.roots import RootSystemType, build
+from rspaces.roots import RootSystemType, build, standard_types
 
 
 def rst(fam, r):
@@ -126,6 +127,24 @@ def test_all_subgroups_bases_are_reduced(r):
     for sub in all_subgroups(r):
         assert _reduced_echelon(sub.basis) == sub.basis
         assert sub == subgroup_span(sub.elements, r)
+
+
+def test_echelon_bases_pass_the_public_constructor():
+    # _echelon_bases builds its subgroups without GammaSubgroup's basis check:
+    # every basis it yields, for all_subgroups and for the positions of each
+    # admissible I that minimal_triple_subgroups walks, must pass that check
+    walks = {(r, tuple(range(r))) for r in range(1, 7)}
+    for system in map(build, standard_types(7)):
+        for I in enumerate_admissible(system):
+            if len(I) <= 6:
+                walks.add((system.rank, tuple(j - 1 for j in I)))
+    n_bases = 0
+    for rank, positions in sorted(walks):
+        for sub in _echelon_bases(rank, positions):
+            checked = GammaSubgroup(rank, sub.basis)
+            assert checked == sub and hash(checked) == hash(sub)
+            n_bases += 1
+    assert n_bases > 10_000
 
 
 # ---------------------------------------------------------------------------
