@@ -282,12 +282,12 @@ def _orbit_bfs(
         raise AssertionError(past_limit)
     if not keep_elements:
         return sizes, None
-    src = sum(mirrored)
-    for n in reversed(mirrored):  # level L - m from level m, for m = floor(L/2) - 1 down to 0
-        src -= n
-        np.negative(points[eps, src : src + n], out=points[:, filled : filled + n])
-        filled += n
-    points = points[:, :filled]
+    # levels 0 .. floor(L/2) - 1 are the first m columns: mirror them in one
+    # block, row by row, as the sort below orders every point anyway
+    m = sum(mirrored)
+    for k in range(r):
+        np.negative(points[eps[k], :m], out=points[k, filled : filled + m])
+    points = points[:, : filled + m]
     points = points.take(np.lexsort(points[::-1]), axis=1)
     return sizes, np.ascontiguousarray(points.T, dtype=np.int16)
 

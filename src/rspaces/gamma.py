@@ -11,7 +11,9 @@ vanishing on I.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations, product
+from operator import or_
 from typing import Iterable, Iterator, Sequence
 
 from .admissible import IndexSet, check_index_set, is_admissible
@@ -114,11 +116,12 @@ def all_subgroups(rank: int) -> Iterator[GammaSubgroup]:
 
     Deterministic order by (dimension, pivot set, free bits); see _echelon_bases.
     """
-    yield from _echelon_bases(rank, range(rank))
+    for basis in _echelon_bases(range(rank)):
+        yield GammaSubgroup(rank, basis)
 
 
-def _echelon_bases(rank: int, positions: Sequence[int]) -> Iterator[GammaSubgroup]:
-    """Every subgroup of the one spanned by the single bits at increasing positions.
+def _echelon_bases(positions: Sequence[int]) -> Iterator[tuple[int, ...]]:
+    """Reduced echelon bases of all subgroups of the span of the bits at increasing positions.
 
     Each subspace appears exactly once via its unique reduced echelon basis:
     the row with pivot p has free bits only at later non-pivot positions, so
@@ -135,15 +138,7 @@ def _echelon_bases(rank: int, positions: Sequence[int]) -> Iterator[GammaSubgrou
                         rows += [row | 1 << q for row in rows]
                 choices.append(rows)
             for rows in product(*choices):
-                yield _reduced_subgroup(rank, rows[::-1])
-
-
-def _reduced_subgroup(rank: int, basis: tuple[int, ...]) -> GammaSubgroup:
-    """A GammaSubgroup from a basis reduced by construction, skipping __post_init__'s check."""
-    sub = object.__new__(GammaSubgroup)
-    object.__setattr__(sub, "rank", rank)
-    object.__setattr__(sub, "basis", basis)
-    return sub
+                yield rows[::-1]
 
 
 @dataclass(frozen=True)
@@ -161,10 +156,10 @@ def _check_subgroup_rank(system: RootSystem, subgroup: GammaSubgroup) -> None:
         raise ValueError(f"subgroup of rank {subgroup.rank} does not act on {system.type}")
 
 
-def _moved_roots(system: RootSystem, subgroup: GammaSubgroup) -> int:
+def _moved_roots(system: RootSystem, basis: tuple[int, ...]) -> int:
     """Bitset of the roots odd on some basis label, i.e. outside the fixed root set."""
     moved = 0
-    for b in subgroup.basis:
+    for b in basis:
         moved |= system.odd_on(b)
     return moved
 
@@ -177,7 +172,7 @@ def fixed_root_set(system: RootSystem, subgroup: GammaSubgroup) -> FixedRootSet:
     that equivalence against fixed_root_set_by_definition.
     """
     _check_subgroup_rank(system, subgroup)
-    return FixedRootSet(system.roots_at(system.all_roots & ~_moved_roots(system, subgroup)))
+    return FixedRootSet(system.roots_at(system.all_roots & ~_moved_roots(system, subgroup.basis)))
 
 
 def fixed_root_set_by_definition(system: RootSystem, subgroup: GammaSubgroup) -> FixedRootSet:
@@ -209,7 +204,7 @@ def triple_witness(
     check_index_set(I, system.rank)
     _check_subgroup_rank(system, subgroup)
     # both sets are complements: of the moved roots, and of the roots nonzero on I
-    differ = _moved_roots(system, subgroup) ^ system.nonzero_on(I.mask)
+    differ = _moved_roots(system, subgroup.basis) ^ system.nonzero_on(I.mask)
     return system.positive_roots[differ.bit_length() - 1] if differ else None
 
 
@@ -226,14 +221,14 @@ def verify_maximality_proposition(system: RootSystem, max_rank: int = 4) -> bool
             f"exhaustive subgroup scan is bounded at rank {max_rank}; "
             f"{system.type} has rank {r} (pass max_rank to raise the bound)"
         )
-    moved = [(sub, _moved_roots(system, sub)) for sub in all_subgroups(r)]
+    # per subgroup, its moved roots and its support: the subgroup lies in
+    # Gamma^I, every label inside I, exactly when its support does
+    scanned = [(_moved_roots(system, b), reduce(or_, b, 0)) for b in _echelon_bases(range(r))]
     for m in range(1, 1 << r):
-        I = IndexSet(m)
         nonzero = system.nonzero_on(m)
-        admissible = is_admissible(system, I)
-        full = gamma_full(I, r)
-        for sub, bits in moved:
-            if bits == nonzero and not (admissible and sub.issubgroup_of(full)):
+        admissible = is_admissible(system, IndexSet(m))
+        for moved, support in scanned:
+            if moved == nonzero and not (admissible and support & ~m == 0):
                 return False
     return True
 
@@ -250,8 +245,7 @@ def minimal_triple_subgroups(
         raise ValueError(f"{I} is not admissible for {system.type}")
     if len(I) > max_dim:
         raise ValueError(f"|I| = {len(I)} exceeds the subspace-enumeration bound {max_dim}")
-    triples = [
-        sub for sub in _echelon_bases(system.rank, [j - 1 for j in I]) if is_triple(system, I, sub)
-    ]
+    candidates = (GammaSubgroup(system.rank, b) for b in _echelon_bases([j - 1 for j in I]))
+    triples = [sub for sub in candidates if is_triple(system, I, sub)]
     minimal = [s for s in triples if not any(t != s and t.issubgroup_of(s) for t in triples)]
     return sorted(minimal, key=lambda s: (s.dim, s.basis))

@@ -288,10 +288,11 @@ FLAG_PRESET = ("subgroups", "A", "5", "--preset", "a-r-flag-example", "--params"
         ("check", "A", "3", "--set", "10000000"),
         ("check", "A", "3", "--set", "1000000000000"),
         # output paths that cannot be written; verify-all refuses its path
-        # before any criterion runs, well inside the timeout
+        # before any criterion runs, well inside the timeout (a path under
+        # this test file, which every checkout has)
         ("orbit", "A", "2", "--set", "1", "--dump", "/nonexistent/d/f"),
         ("orbit", "A", "2", "--set", "1", "--dump", str(REPO)),
-        ("verify-all", "--fixtures-dir", str(REPO / "pyproject.toml" / "docs")),
+        ("verify-all", "--fixtures-dir", str(Path(__file__).resolve() / "docs")),
         # markdown is a format of classify only
         ("check", "B", "3", "--set", "1", "--format", "markdown"),
         ("two-number", "A", "4", "--set", "2", "--format", "markdown"),

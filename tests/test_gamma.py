@@ -130,9 +130,9 @@ def test_all_subgroups_bases_are_reduced(r):
 
 
 def test_echelon_bases_pass_the_public_constructor():
-    # _echelon_bases builds its subgroups without GammaSubgroup's basis check:
-    # every basis it yields, for all_subgroups and for the positions of each
-    # admissible I that minimal_triple_subgroups walks, must pass that check
+    # _echelon_bases yields bare bases, reduced as built: every basis it yields,
+    # for all_subgroups and for the positions of each admissible I that
+    # minimal_triple_subgroups walks, must pass GammaSubgroup's check unchanged
     walks = {(r, tuple(range(r))) for r in range(1, 7)}
     for system in map(build, standard_types(7)):
         for I in enumerate_admissible(system):
@@ -140,9 +140,9 @@ def test_echelon_bases_pass_the_public_constructor():
                 walks.add((system.rank, tuple(j - 1 for j in I)))
     n_bases = 0
     for rank, positions in sorted(walks):
-        for sub in _echelon_bases(rank, positions):
-            checked = GammaSubgroup(rank, sub.basis)
-            assert checked == sub and hash(checked) == hash(sub)
+        for basis in _echelon_bases(positions):
+            assert type(basis) is tuple
+            assert GammaSubgroup(rank, basis).basis == basis
             n_bases += 1
     assert n_bases > 10_000
 
@@ -266,6 +266,21 @@ def test_maximality_proposition_can_fail(monkeypatch):
     assert verify_maximality_proposition(system)
     assert seen == [1, 2, 3]
     monkeypatch.setattr(gamma, "is_admissible", lambda system, I: False)
+    assert not verify_maximality_proposition(system)
+
+
+def test_maximality_proposition_needs_the_subgroup_inside_gamma_I(monkeypatch):
+    """With every subgroup moving the roots nonzero on {1}, <{2}> lies outside Gamma^{1}."""
+    system = build(rst("A", 2))
+    moved_by_1 = system.nonzero_on(0b01)
+    assert is_admissible(system, IndexSet.of(1))
+    # only <e> and <{1}> form a triple with {1}: both lie inside Gamma^{1}
+    monkeypatch.setattr(
+        gamma, "_moved_roots", lambda system, basis: moved_by_1 if set(basis) <= {0b01} else 0
+    )
+    assert verify_maximality_proposition(system)
+    # every subgroup forms a triple with {1}, <{2}> and <{1}, {2}> too
+    monkeypatch.setattr(gamma, "_moved_roots", lambda system, basis: moved_by_1)
     assert not verify_maximality_proposition(system)
 
 
