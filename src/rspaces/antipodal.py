@@ -32,6 +32,7 @@ if TYPE_CHECKING:  # numpy is imported at run time only by the functions that en
 CoweightVector = tuple[int, ...]
 
 DEFAULT_ORBIT_BUDGET = 50_000_000
+BLOCK = 1 << 17  # entries of one r x r x parents array of children in the orbit walk
 
 
 def xi_vector(I: IndexSet, rank: int) -> CoweightVector:
@@ -185,13 +186,13 @@ def _orbit_bfs(
     The orbit is a tree rooted at the dominant point: every other point u has
     exactly one parent s_k u, where k is the least index with u_k < 0.  So
     from v the child s_j v is kept only if v_j > 0 and the child's
-    coordinates before j are all >= 0.  Those coordinates are v_k for k not
-    adjacent to j in the Dynkin diagram and v_k - C[k][j] * v_j for its
-    neighbours, so the test reads only the parent: every negative coordinate
-    before j must be at a neighbour that the lift brings to >= 0.  The test
-    runs for every j of a level at once, as a prefix count of negative
-    coordinates less the lifted neighbours, and only kept children are built,
-    so a level costs a few array operations per coordinate.  Level n holds
+    coordinates before j are all >= 0.  A step forms every child of a block
+    of parents at once, as the r x r x nb array of (s_j v)_k indexed
+    [k, j, parent], and keeps s_j v where v_j > 0 and no entry of column
+    [:, j] lies below floor[:, j]: 0 before j, the dtype's least value from j
+    on.  So a step is a fixed handful of array calls whatever the rank.  A
+    level of more than BLOCK // r^2 parents is cut into blocks, which bounds
+    the temporaries, and their children are concatenated.  Level n holds
     the minimal coset representatives of length n, stored rank-major (one row
     per coordinate), no point is produced twice, and only the current level
     and the next are held unless the points are kept.  `limit` is the
@@ -209,12 +210,11 @@ def _orbit_bfs(
     after, and are then sorted.
 
     A coordinate of w v is the pairing of the root w^-1 alpha_j with v, so it
-    is at most h * max(v) in size, h the largest root height.  The widest
-    value formed is v_k + |C[k][j]| * v_j, or the 2 * v_j of a child, so
-    levels are int8 when (1 + max(1, max |C[k][j]|)) * h * max(v) fits and
-    int16 otherwise; a mirror only negates values within that bound.  Prefix
-    counts fit too: they are at most the rank r, and r <= h because every
-    coefficient of the highest root is at least 1.
+    is at most h * max(v) in size, h the largest root height.  A step forms
+    C[k][j] * v_j and v_k - C[k][j] * v_j; with lift = max(1, max |C[k][j]|)
+    and C[j][j] = 2 <= 1 + lift, both are at most (1 + lift) * h * max(v) in
+    size.  So levels are int8 when that bound fits and int16 otherwise; a
+    mirror only negates values within it.
     """
     import numpy as np
 
@@ -229,32 +229,21 @@ def _orbit_bfs(
     depth = _tree_depth(system, start)
     eps = np.array(_opposition(cartan))
     past_limit = f"orbit enumeration passed the predicted {limit} points"
-    # Offset d lifts row j - d by row j: -C[j-d][j] where they are neighbours,
-    # 0 elsewhere, where a negative v_{j-d} stays negative and is not discounted.
-    offsets = []
-    for d in range(1, r):
-        lifts = [-cartan[j - d][j] for j in range(d, r)]
-        if any(lifts):
-            offsets.append((d, np.array(lifts, dtype=dtype)[:, None]))
-    matrix = np.array(cartan, dtype=dtype)
-    rows = np.arange(r + 1)
+    matrix = np.array(cartan, dtype=dtype)[:, :, None]
+    # floor[k, j]: the least coordinate k of a kept child s_j v, 0 before j and no bound from j on
+    floor = np.tril(np.full((r, r), np.iinfo(dtype).min, dtype=dtype))[:, :, None]
+    per_block = max(1, BLOCK // (r * r))
+
+    def step(level: np.ndarray) -> np.ndarray:
+        """The kept children of a block of parents, by j and then by parent."""
+        every = level[:, None, :] - matrix * level[None, :, :]  # [k, j, p]: (s_j v_p)_k
+        keep = (level > 0) & (every >= floor).all(axis=0)
+        return every.reshape(r, -1).take(np.flatnonzero(keep), axis=1)
 
     def children(level: np.ndarray) -> np.ndarray:
-        """The kept children of a level, by j and then by parent; the temporaries die on return."""
-        n = level.shape[1]
-        neg = level < 0
-        stray = neg.astype(dtype)  # negatives up to j, counted row by row
-        for k in range(1, r):
-            stray[k] += stray[k - 1]
-        for d, lifts in offsets:
-            stray[d:] -= neg[:-d] & (level[:-d] + lifts * level[d:] >= 0)
-        kept = np.flatnonzero((level > 0) & (stray == 0))  # j * n + parent, sorted
-        starts = rows * n  # where each row j begins in kept
-        per_j = np.diff(np.searchsorted(kept, starts))
-        vj = level.ravel().take(kept)
-        level = level.take(kept - np.repeat(starts[:-1], per_j), axis=1)
-        level -= np.repeat(matrix, per_j, axis=1) * vj
-        return level
+        """The kept children of a level, block by block; the temporaries die on return."""
+        blocks = [step(level[:, i : i + per_block]) for i in range(0, level.shape[1], per_block)]
+        return blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=1)
 
     level = np.array(start, dtype=dtype).reshape(-1, 1)
     points = np.empty((r, limit), dtype=dtype) if keep_elements else None

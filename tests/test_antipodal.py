@@ -321,8 +321,44 @@ def test_orbit_keep_elements_peak_memory():
     assert peak <= 2 * res.elements.array.nbytes
 
 
+@pytest.mark.parametrize(
+    "fam, r, I",
+    [
+        # E6's largest walked level has 3,611 parents, one default block (3,640)
+        ("E", 6, IndexSet.full(6)),
+        ("F", 4, IndexSet.full(4)),
+        ("G", 2, IndexSet.full(2)),
+        ("A", 64, IndexSet.of(1, 64)),  # int16 levels
+    ],
+)
+def test_orbit_blocks_leave_levels_and_points_unchanged(monkeypatch, fam, r, I):
+    system = build(rst(fam, r))
+    default = orbit(system, I, keep_elements=True)
+    for parents in (1, 3):  # per block
+        monkeypatch.setattr(antipodal, "BLOCK", parents * r * r)
+        res = orbit(system, I, keep_elements=True)
+        assert res.level_sizes == default.level_sizes
+        assert res.elements.array.tobytes() == default.elements.array.tobytes()
+
+
+def test_orbit_size_only_peak_memory():
+    # children are formed a block of parents at a time, so besides the level
+    # and its children the walk holds only block-sized temporaries
+    system = build(rst("E", 7))
+    orbit(build(rst("A", 2)), IndexSet.of(1), enumerate=True)  # warm up
+    tracemalloc.start()
+    try:
+        res = orbit(system, IndexSet.full(7), enumerate=True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert max(res.level_sizes) == 131046
+    assert peak <= 4 * 7 * max(res.level_sizes)
+
+
 def test_orbit_beyond_rank_64():
-    # the keep test counts negative coordinates, so no 64-bit mask limits the rank
+    # the keep test compares coordinates with a per-(k, j) floor, so no
+    # 64-bit mask limits the rank
     res = orbit(build(rst("A", 64)), IndexSet.of(1, 64), enumerate=True)
     assert res.size == 65 * 64 and res.method == "both"
 
