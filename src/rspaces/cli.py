@@ -29,12 +29,20 @@ from . import gamma as gam
 from .admissible import IndexSet
 from .roots import RootSystem, RootSystemError, RootSystemType, build, standard_types, to_json
 
-FIXTURE_TYPES = ("A3", "B3", "C3", "D4", "BC2", "F4", "G2", "E6")
+FIXTURE_TYPES = tuple(
+    RootSystemType(fam, rank)
+    for fam, rank in (("A", 3), ("B", 3), ("C", 3), ("D", 4), ("BC", 2), ("F", 4), ("G", 2), ("E", 6))
+)
 BUDGET_ENV_VAR = "RSPACES_ORBIT_BUDGET"
 
 
 def _emit_json(payload: dict | list) -> None:
     sys.stdout.write(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
+
+
+def _query(rst: RootSystemType, I: IndexSet) -> dict:
+    """The query a JSON payload answers, echoed back: family, rank and index set."""
+    return {"family": rst.family, "rank": rst.rank, "set": list(I)}
 
 
 def _parse_type(parser: argparse.ArgumentParser, family: str, rank: int) -> RootSystemType:
@@ -95,9 +103,7 @@ def _cmd_check(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
     if args.format == "json":
         _emit_json(
             {
-                "family": rst.family,
-                "rank": rst.rank,
-                "set": list(I),
+                **_query(rst, I),
                 "admissible": verdict,
                 "witness": list(witness) if witness else None,
             }
@@ -117,9 +123,7 @@ def _orbit_payload(
     if not include_elements:
         res = replace(res, elements=None)
     return {
-        "family": system.type.family,
-        "rank": system.type.rank,
-        "set": list(I),
+        **_query(system.type, I),
         "admissible": admissible,
         "two_number": res.size if admissible else None,
         **res.to_dict(),
@@ -180,14 +184,13 @@ def _cmd_orbit(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
 
 
 def _subgroup_analysis(system: RootSystem, I: IndexSet, sub: gam.GammaSubgroup) -> dict:
-    witness = gam.triple_witness(system, I, sub)
+    triple = gam.is_triple(system, I, sub)
+    witness = None if triple else gam.triple_witness(system, I, sub)
     return {
-        "family": system.type.family,
-        "rank": system.type.rank,
-        "set": list(I),
+        **_query(system.type, I),
         "subgroup_basis": [list(IndexSet(b)) for b in sub.basis],
         "subgroup_order": sub.order,
-        "is_triple": witness is None,
+        "is_triple": triple,
         "fixed_roots": len(gam.fixed_root_set(system, sub)),
         "witness": list(witness) if witness else None,
     }
@@ -225,9 +228,7 @@ def _cmd_subgroups(parser: argparse.ArgumentParser, args: argparse.Namespace) ->
             parser.error(str(exc))
         full_order = gam.gamma_full(I, rst.rank).order
         payload = {
-            "family": rst.family,
-            "rank": rst.rank,
-            "set": list(I),
+            **_query(rst, I),
             "gamma_full_order": full_order,
             "minimal_triple_subgroups": [
                 {
@@ -255,10 +256,8 @@ def _write_fixtures(directory: Path) -> None:
     (directory / "classification.md").write_text("\n".join(lines))
     roots_dir = directory / "roots"
     roots_dir.mkdir(exist_ok=True)
-    for name in FIXTURE_TYPES:
-        fam, rank = name.rstrip("0123456789"), int(name.lstrip("ABCDEFG"))
-        system = build(RootSystemType(fam, rank))
-        (roots_dir / f"{name}.json").write_text(to_json(system) + "\n")
+    for rst in FIXTURE_TYPES:
+        (roots_dir / f"{rst}.json").write_text(to_json(build(rst)) + "\n")
 
 
 def _cmd_verify_all(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:

@@ -236,16 +236,17 @@ def verify_maximality_proposition(system: RootSystem, max_rank: int = 4) -> bool
 def minimal_triple_subgroups(
     system: RootSystem, I: IndexSet, max_dim: int = 6
 ) -> list[GammaSubgroup]:
-    """Inclusion-minimal subgroups of Gamma^I forming a triple with I.
+    """Inclusion-minimal subgroups of Gamma^I forming a triple with I, sorted by (dim, basis).
 
     Exploratory extension of the published single example: enumerates every
-    subspace of Gamma^I, so |I| is capped by max_dim.
+    subspace of Gamma^I as a bare basis, so |I| is capped by max_dim; only
+    the minima become GammaSubgroups.
     """
     if not is_admissible(system, I):
         raise ValueError(f"{I} is not admissible for {system.type}")
     if len(I) > max_dim:
         raise ValueError(f"|I| = {len(I)} exceeds the subspace-enumeration bound {max_dim}")
-    candidates = (GammaSubgroup(system.rank, b) for b in _echelon_bases([j - 1 for j in I]))
-    triples = [sub for sub in candidates if is_triple(system, I, sub)]
-    minimal = [s for s in triples if not any(t != s and t.issubgroup_of(s) for t in triples)]
-    return sorted(minimal, key=lambda s: (s.dim, s.basis))
+    nonzero = system.nonzero_on(I.mask)
+    triples = [b for b in _echelon_bases([j - 1 for j in I]) if _moved_roots(system, b) == nonzero]
+    minimal = [s for s in triples if not any(t != s and all(_in_span(row, s) for row in t) for t in triples)]
+    return [GammaSubgroup(system.rank, b) for b in sorted(minimal, key=lambda b: (len(b), b))]

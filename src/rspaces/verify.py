@@ -21,14 +21,13 @@ from . import gamma as gam
 from .admissible import IndexSet
 from .roots import RootSystem, RootSystemType, build, standard_types
 
-CLASSICAL_MAX_RANK = 8
 WEYL_ENUMERATION_CAP = 3 * 10**6  # admits E7 (|W| = 2,903,040), not D8 or B8
 RANDOM_SEED = 20250805
 RANDOM_CASES = 10**4
 
 
-def _systems(max_rank: int = CLASSICAL_MAX_RANK) -> Iterator[RootSystem]:
-    return map(build, standard_types(max_rank))
+def _systems(*max_rank: int) -> Iterator[RootSystem]:
+    return map(build, standard_types(*max_rank))
 
 
 @dataclass
@@ -199,7 +198,7 @@ def criterion_7_weyl_orders(work: dict[str, int]) -> tuple[bool, str]:
 
 @_criterion(8, "subgroup maximality", limit=10.0)
 def criterion_8_maximality(work: dict[str, int]) -> tuple[bool, str]:
-    systems = list(_systems(max_rank=7))
+    systems = list(_systems(7))
     for system in systems:
         if not gam.verify_maximality_proposition(system, max_rank=7):
             return False, f"{system}: triple with subgroup outside Gamma^I or I inadmissible"

@@ -10,6 +10,8 @@ from types import SimpleNamespace
 import pytest
 
 from rspaces import verify
+from rspaces.admissible import IndexSet
+from rspaces.roots import RootSystemType
 
 CRITERION_NAMES = [
     "criterion_1_classification",
@@ -26,10 +28,12 @@ CRITERION_NAMES = [
 
 
 def _run(criterion, work=None):
-    """Run one criterion; it must pass and report `work` (None where it counts nothing)."""
+    """Run one criterion; it must pass, under its own number, and report `work`
+    (None where it counts nothing)."""
     result = criterion()
     print(result.line())
     assert result.passed, result.line()
+    assert criterion.__name__.startswith(f"criterion_{result.number}_")
     assert result.work == work
     return result
 
@@ -97,12 +101,14 @@ def test_criterion_08_subgroup_maximality():
 
 def test_criterion_09_flag_example():
     """The order-4 proper subgroup forms a triple for every index triple, A3..A6."""
-    _run(verify.criterion_9_flag_example)
+    result = _run(verify.criterion_9_flag_example)
+    assert result.detail == "35 index triples across A3..A6"
 
 
 def test_criterion_10_property_suite():
     """Involutivity, generator sufficiency, anti-monotonicity, triple-iff-admissible."""
-    _run(verify.criterion_10_properties)
+    result = _run(verify.criterion_10_properties)
+    assert result.detail == "4 properties, exhaustive at rank <= 4 plus 10000 seeded cases each"
 
 
 # ---------------------------------------------------------------------------
@@ -145,6 +151,113 @@ def test_gate_leaves_a_failed_check_unsuffixed(monkeypatch):
     result = verify.criterion_1_classification()
     assert not result.passed and result.elapsed == 6.0
     assert result.detail == "raised ZeroDivisionError: division by zero"
+
+
+# ---------------------------------------------------------------------------
+# each criterion fails, with its own detail, when a layer gives a wrong answer
+
+
+def _fails(criterion, detail):
+    result = criterion()
+    assert result.passed is False
+    assert result.detail == detail
+
+
+def test_criterion_01_fails_on_a_closed_form_mismatch(monkeypatch):
+    def report(rst):  # the detail quotes the first three discrepancies of each type
+        return SimpleNamespace(
+            closed_form_agrees=rst != RootSystemType("G", 2),
+            witness_discrepancies=[(IndexSet(m), True, False) for m in range(1, 5)],
+        )
+
+    monkeypatch.setattr(verify.adm, "verify_classification", report)
+    _fails(
+        verify.criterion_1_classification,
+        "closed-form mismatches: [(RootSystemType(family='G', rank=2), "
+        "[(IndexSet(mask=1), True, False), (IndexSet(mask=2), True, False), "
+        "(IndexSet(mask=3), True, False)])]",
+    )
+
+
+def test_criterion_02_fails_on_a_wrong_count(monkeypatch):
+    monkeypatch.setattr(verify.adm, "enumerate_admissible", lambda system: [])
+    _fails(verify.criterion_2_counts, "A1: 0 admissible sets, expected 1")
+
+
+def test_criterion_03_fails_on_a_union_outside(monkeypatch):
+    monkeypatch.setattr(verify.adm, "is_union_closed", lambda system: False)
+    _fails(verify.criterion_3_union_closure, "A1: union of admissible sets not admissible")
+
+
+def test_criterion_04_fails_on_an_even_root_in_a_reduced_system(monkeypatch):
+    monkeypatch.setattr(verify.adm, "find_all_even_root", lambda system: (2,) * system.rank)
+    _fails(verify.criterion_4_odd_coefficient, "A1: all-even root (2,) in a reduced system")
+
+
+def test_criterion_04_fails_on_a_missing_bc_witness(monkeypatch):
+    monkeypatch.setattr(verify.adm, "find_all_even_root", lambda system: None)
+    _fails(verify.criterion_4_odd_coefficient, "BC1: witness None, expected 2e_1 = (2,)")
+
+
+def test_criterion_04_fails_on_full_set_admissibility(monkeypatch):
+    monkeypatch.setattr(verify.adm, "full_set_admissible_iff_reduced", lambda rst: not rst.reduced)
+    _fails(
+        verify.criterion_4_odd_coefficient,
+        "A1: full-set admissibility disagrees with reducedness",
+    )
+
+
+def test_criterion_05_fails_on_an_inadmissible_extrinsic_subset(monkeypatch):
+    monkeypatch.setattr(verify.adm, "is_admissible", lambda system, I: False)
+    _fails(verify.criterion_5_extrinsic, "A1: extrinsic subset {1} not admissible")
+
+
+def test_criterion_06_requires_enumeration(monkeypatch):
+    formula_only = verify.ant.orbit
+    monkeypatch.setattr(verify.ant, "orbit", lambda system, I, **_: formula_only(system, I))
+    _fails(verify.criterion_6_orbit_agreement, "A1 {1}: enumeration did not run")
+
+
+def test_criterion_06_fails_on_a_wrong_binomial(monkeypatch):
+    monkeypatch.setattr(verify, "WEYL_ENUMERATION_CAP", 0)  # no orbit is enumerated
+    monkeypatch.setattr(verify.ant, "two_number", lambda system, I: 0)
+    _fails(verify.criterion_6_orbit_agreement, "A1 {1}: two-number 0 != C(2,1)")
+
+
+def test_criterion_07_fails_on_a_wrong_regular_orbit(monkeypatch):
+    wrong = SimpleNamespace(method="both", size=0)
+    monkeypatch.setattr(verify.ant, "orbit", lambda system, I, **_: wrong)
+    _fails(verify.criterion_7_weyl_orders, "A1: regular orbit 0 != |W|")
+
+
+def test_criterion_08_fails_on_a_refuted_proposition(monkeypatch):
+    monkeypatch.setattr(verify.gam, "verify_maximality_proposition", lambda system, max_rank: False)
+    _fails(
+        verify.criterion_8_maximality,
+        "A1: triple with subgroup outside Gamma^I or I inadmissible",
+    )
+
+
+def test_criterion_09_fails_on_a_non_triple(monkeypatch):
+    monkeypatch.setattr(verify.gam, "is_triple", lambda system, I, sub: False)
+    _fails(verify.criterion_9_flag_example, "A3 {1,2,3}: flag-example subgroup is not a triple")
+
+
+def test_criterion_09_fails_on_a_wrong_order(monkeypatch):
+    monkeypatch.setattr(verify.gam, "gamma_full", lambda I, rank: verify.gam.subgroup_span([], rank))
+    _fails(
+        verify.criterion_9_flag_example,
+        "A3 {1,2,3}: subgroup not proper of order 4 in order 8",
+    )
+
+
+def test_criterion_10_fails_on_a_broken_property(monkeypatch):
+    monkeypatch.setattr(verify, "RANDOM_CASES", 0)  # the exhaustive cases only
+    monkeypatch.setattr(verify.gam, "fixed_root_set_by_definition", lambda system, sub: None)
+    _fails(
+        verify.criterion_10_properties,
+        "A1: basis parity check differs from definition for <e>",
+    )
 
 
 @pytest.fixture(scope="module", autouse=True)

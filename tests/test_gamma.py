@@ -147,6 +147,12 @@ def test_echelon_bases_pass_the_public_constructor():
     assert n_bases > 10_000
 
 
+def test_subgroup_str():
+    # acceptance criteria 8 and 10 quote subgroups this way in their failure details
+    assert str(subgroup_span([], 3)) == "<e>"
+    assert str(subgroup_span([IndexSet.of(1, 3), IndexSet.of(2)], 3)) == "<{1,3}, {2}>"
+
+
 # ---------------------------------------------------------------------------
 # fixed root sets
 
@@ -319,6 +325,27 @@ def test_minimal_triple_subgroups_are_minimal_and_triples():
         for b in mins:
             if a != b:
                 assert not a.issubgroup_of(b)
+
+
+def test_minimal_triple_subgroups_build_only_the_minima(monkeypatch):
+    # candidates stay bare echelon bases, tested by the roots they move: only
+    # the returned minima become GammaSubgroups, and is_triple is never asked
+    built = []
+    check = GammaSubgroup.__post_init__
+
+    def counted(self):
+        built.append(self.basis)
+        check(self)
+
+    def refuse(*args):
+        raise AssertionError("a candidate went through the checked triple test")
+
+    monkeypatch.setattr(GammaSubgroup, "__post_init__", counted)
+    monkeypatch.setattr(gamma, "is_triple", refuse)
+    monkeypatch.setattr(gamma, "triple_witness", refuse)
+    mins = minimal_triple_subgroups(build(rst("A", 7)), IndexSet.of(1, 2, 4, 5, 6, 7))
+    assert len(mins) == 100
+    assert built == [m.basis for m in mins]
 
 
 def brute_force_minimal_triples(system, I):

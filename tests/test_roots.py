@@ -401,6 +401,12 @@ def test_standard_types_read_the_family_table(max_rank):
     assert list(standard_types(max_rank)) == list(by_trial())
 
 
+def test_type_and_system_str():
+    # failure details of the acceptance criteria name types and systems this way
+    assert str(rst("BC", 2)) == "BC2"
+    assert str(build(rst("E", 6))) == "E6"
+
+
 def test_reduced_flag():
     assert rst("A", 3).reduced and rst("E", 7).reduced
     assert not rst("BC", 3).reduced
