@@ -19,6 +19,9 @@ from typing import Iterable, Iterator, Sequence
 from .admissible import IndexSet, check_index_set, is_admissible
 from .roots import Root, RootSystem
 
+MAX_SCAN_RANK = 8  # about 1.3 s per rank-8 scan; rank 9 has 8.3M subspaces, 20x rank 8
+MAX_SUBSET_SIZE = 6  # |I| bound of minimal_triple_subgroups: 2,825 subspaces of Gamma^I
+
 
 def _reduced_echelon(masks: Iterable[int]) -> tuple[int, ...]:
     """Reduced GF(2) row-echelon basis; pivot = lowest set bit, rows sorted by pivot."""
@@ -208,45 +211,47 @@ def triple_witness(
     return system.positive_roots[differ.bit_length() - 1] if differ else None
 
 
-def verify_maximality_proposition(system: RootSystem, max_rank: int = 4) -> bool:
+def verify_maximality_proposition(system: RootSystem) -> bool:
     """Exhaustively confirm: every triple forces the subgroup inside Gamma^I and I admissible.
 
-    Scans all GF(2) subgroups against all non-empty index sets, so cost grows
-    like the number of subspaces of F_2^r; raise max_rank knowingly.  A pair
-    is a triple when the subgroup moves exactly the roots nonzero on I.
+    A triple's subgroup moves exactly the roots nonzero on I, and those name I
+    (alpha_j is nonzero on I iff j is in I): one lookup per subgroup.
     """
     r = system.rank
-    if r > max_rank:
+    if r > MAX_SCAN_RANK:
         raise ValueError(
-            f"exhaustive subgroup scan is bounded at rank {max_rank}; "
-            f"{system.type} has rank {r} (pass max_rank to raise the bound)"
+            f"exhaustive subgroup scan is bounded at rank {MAX_SCAN_RANK}; "
+            f"{system.type} has rank {r}"
         )
-    # per subgroup, its moved roots and its support: the subgroup lies in
-    # Gamma^I, every label inside I, exactly when its support does
-    scanned = [(_moved_roots(system, b), reduce(or_, b, 0)) for b in _echelon_bases(range(r))]
-    for m in range(1, 1 << r):
-        nonzero = system.nonzero_on(m)
-        admissible = is_admissible(system, IndexSet(m))
-        for moved, support in scanned:
-            if moved == nonzero and not (admissible and support & ~m == 0):
-                return False
+    named = {system.nonzero_on(m): m for m in range(1, 1 << r)}
+    for basis in _echelon_bases(range(r)):
+        m = named.get(_moved_roots(system, basis), 0)
+        # inside Gamma^I, every label inside I, exactly when its support (OR of rows) is
+        if m and not (is_admissible(system, IndexSet(m)) and reduce(or_, basis, 0) & ~m == 0):
+            return False
     return True
 
 
-def minimal_triple_subgroups(
-    system: RootSystem, I: IndexSet, max_dim: int = 6
-) -> list[GammaSubgroup]:
+def minimal_triple_subgroups(system: RootSystem, I: IndexSet) -> list[GammaSubgroup]:
     """Inclusion-minimal subgroups of Gamma^I forming a triple with I, sorted by (dim, basis).
 
-    Exploratory extension of the published single example: enumerates every
-    subspace of Gamma^I as a bare basis, so |I| is capped by max_dim; only
-    the minima become GammaSubgroups.
+    Exploratory extension of the published single example, every subspace of
+    Gamma^I walked.  A hyperplane of a triple, the kernel of a nonzero g on its
+    rows, is again a triple unless some root's parity vector over the rows is g.
     """
     if not is_admissible(system, I):
         raise ValueError(f"{I} is not admissible for {system.type}")
-    if len(I) > max_dim:
-        raise ValueError(f"|I| = {len(I)} exceeds the subspace-enumeration bound {max_dim}")
+    if len(I) > MAX_SUBSET_SIZE:
+        raise ValueError(f"|I| = {len(I)} exceeds the subspace-enumeration bound {MAX_SUBSET_SIZE}")
     nonzero = system.nonzero_on(I.mask)
-    triples = [b for b in _echelon_bases([j - 1 for j in I]) if _moved_roots(system, b) == nonzero]
-    minimal = [s for s in triples if not any(t != s and all(_in_span(row, s) for row in t) for t in triples)]
+    minimal = []
+    for basis in _echelon_bases([j - 1 for j in I]):
+        if _moved_roots(system, basis) != nonzero:
+            continue
+        classes = [nonzero]  # split by parity on each row; all-even last, empty for a triple
+        for row in basis:
+            odd = system.odd_on(row)
+            classes = [c & side for c in classes for side in (odd, ~odd)]
+        if all(classes[:-1]):
+            minimal.append(basis)
     return [GammaSubgroup(system.rank, b) for b in sorted(minimal, key=lambda b: (len(b), b))]

@@ -2,7 +2,9 @@
 
 import inspect
 from dataclasses import fields
+from functools import reduce
 from itertools import combinations
+from operator import or_
 
 import pytest
 
@@ -260,7 +262,8 @@ def test_maximality_proposition(fam, r):
 
 
 def test_maximality_proposition_can_fail(monkeypatch):
-    """It visits every non-empty index set, and fails once they are called inadmissible."""
+    """It asks about each index set a subgroup forms a triple with (all three
+    of A2's), and fails once they are called inadmissible."""
     system = build(rst("A", 2))
     seen = []
 
@@ -290,11 +293,43 @@ def test_maximality_proposition_needs_the_subgroup_inside_gamma_I(monkeypatch):
     assert not verify_maximality_proposition(system)
 
 
+def product_scan(system):
+    """The former scan, every subgroup against every non-empty I: its verdict,
+    and the index sets some subgroup forms a triple with."""
+    bases = list(_echelon_bases(range(system.rank)))
+    scanned = [(gamma._moved_roots(system, b), reduce(or_, b, 0)) for b in bases]
+    holds, paired = True, set()
+    for m in range(1, 1 << system.rank):
+        nonzero = system.nonzero_on(m)
+        admissible = is_admissible(system, IndexSet(m))
+        for moved, support in scanned:
+            if moved == nonzero:
+                paired.add(m)
+                holds = holds and admissible and support & ~m == 0
+    return holds, paired
+
+
+@pytest.mark.parametrize("t", list(standard_types(5)), ids=str)
+def test_maximality_lookup_matches_product_scan(monkeypatch, t):
+    # the lookup asks is_admissible about exactly the index sets that the
+    # product scan pairs with some subgroup, and reaches the same verdict
+    system = build(t)
+    holds, paired = product_scan(system)
+    asked = set()
+
+    def recorded(system, I):
+        asked.add(I.mask)
+        return is_admissible(system, I)
+
+    monkeypatch.setattr(gamma, "is_admissible", recorded)
+    assert verify_maximality_proposition(system) == holds
+    assert asked == paired
+
+
 def test_maximality_refuses_above_bound():
-    with pytest.raises(ValueError, match="rank 4"):
-        verify_maximality_proposition(build(rst("A", 5)))
-    # configurable upward
-    assert verify_maximality_proposition(build(rst("A", 5)), max_rank=5)
+    with pytest.raises(ValueError, match="bounded at rank 8; A9 has rank 9"):
+        verify_maximality_proposition(build(rst("A", 9)))
+    assert verify_maximality_proposition(build(rst("A", 5)))
 
 
 def test_minimal_triple_subgroups_flag_example():

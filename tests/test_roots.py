@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from rspaces.cli import FIXTURE_TYPES
 from rspaces.roots import (
     FAMILIES,
     RootSystemError,
@@ -442,12 +443,10 @@ def test_cartan_matrix_shapes():
     )
 
 
-@pytest.mark.parametrize("name", ["A3", "B3", "C3", "D4", "BC2", "F4", "G2", "E6"])
-def test_golden_json_fixtures(name):
-    fam = name.rstrip("0123456789")
-    rank = int(name[len(fam):])
-    system = build(rst(fam, rank))
-    path = DOCS / "roots" / f"{name}.json"
+@pytest.mark.parametrize("fixture_type", FIXTURE_TYPES, ids=str)
+def test_golden_json_fixtures(fixture_type):
+    system = build(fixture_type)
+    path = DOCS / "roots" / f"{fixture_type}.json"
     assert path.exists(), f"golden fixture {path} missing"
     assert json.loads(path.read_text()) == json.loads(to_json(system))
     # byte-identical canonical serialization
