@@ -10,16 +10,22 @@ The tree has depth L, the number of reduced positive roots nonzero on I, and
 the longest Weyl element w0 maps its level n onto level L - n as
 v -> -v[eps], eps the opposition involution of the Dynkin diagram (Humphreys,
 Reflection Groups and Coxeter Groups, 1.8).  So only levels 0 .. ceil(L/2)
-are walked; the rest are mirrors, checked where the two halves meet.  The
-size |W| / |W_J| comes first; the enumeration must stop within it and reach
-it exactly.
+are walked with numpy; the rest are mirrors, checked where the two halves
+meet.  An orbit of at most SMALL_ORBIT points, or of at most COLD_ORBIT
+while numpy is not yet imported, is walked whole in pure Python instead,
+and numpy is never imported for it.  The size |W| / |W_J| comes first; it
+picks the walk, and the enumeration must stop within it and reach it
+exactly.
 """
 
 from __future__ import annotations
 
+import struct
+import sys
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cache, reduce
+from itertools import chain
 from operator import or_
 from typing import TYPE_CHECKING
 
@@ -33,6 +39,17 @@ CoweightVector = tuple[int, ...]
 
 DEFAULT_ORBIT_BUDGET = 50_000_000
 BLOCK = 1 << 17  # entries of one r x r x parents array of children in the orbit walk
+# Orbits of at most this many points are walked in pure Python, without numpy.
+# In-process that walk is the faster one below about 140 points (1.5-2.5 us a
+# point against 170-300 us a call for numpy's), and a fresh process also
+# skips numpy's import, which costs more than the whole query.
+SMALL_ORBIT = 128
+# Until numpy is imported, orbits of at most this many points are walked in
+# pure Python too: the walk takes about 3 ms for 2,000 points, numpy's import
+# about 100 ms.  Every orbit of rank <= 4 (at most F4's 1,152 points) is below
+# it, so whether a fresh process loads numpy does not hang on which such
+# orbit it is asked for.
+COLD_ORBIT = 2_000
 
 
 def xi_vector(I: IndexSet, rank: int) -> CoweightVector:
@@ -54,40 +71,47 @@ def reflect(v: CoweightVector, j: int, system: RootSystem) -> CoweightVector:
 
 
 class OrbitPoints(Sequence):
-    """Sorted orbit points: a read-only sequence of int tuples over one array.
+    """Sorted orbit points: a read-only sequence of int tuples over one buffer.
 
-    `array` is the C-contiguous, non-writeable n x r int16 array of the
-    points in lexicographic order.  Indexing and iteration yield tuples,
-    iteration converting a few thousand rows at a time, so the points are
-    never all held as Python objects.  Equality and hashing are those of
-    the tuple of tuples; two OrbitPoints compare by shape and bytes.
+    The points are held in any C-contiguous n x r buffer of native int16
+    (a numpy array, or a memoryview of packed bytes), in lexicographic
+    order.  Indexing and iteration unpack rows as tuples one at a time, so
+    the points are never all held as Python objects, and numpy is imported
+    only by `array`: a zero-copy, read-only n x r int16 array view.
+    Equality and hashing are those of the tuple of tuples; two OrbitPoints
+    compare by shape and values.
     """
 
-    __slots__ = ("array",)
-    BLOCK = 4096
+    __slots__ = ("_view", "_row")
 
-    def __init__(self, array: np.ndarray) -> None:
-        if array.ndim != 2 or array.dtype != "int16" or not array.flags.c_contiguous:
-            raise ValueError("orbit points must be a C-contiguous n x r int16 array")
-        array.flags.writeable = False
-        self.array = array
+    def __init__(self, buffer) -> None:
+        view = memoryview(buffer)
+        if view.ndim != 2 or view.format != "h" or not view.c_contiguous:
+            raise ValueError("orbit points must be a C-contiguous n x r int16 buffer")
+        self._view = view.toreadonly()
+        self._row = struct.Struct(f"{view.shape[1]}h")
+
+    @property
+    def array(self) -> np.ndarray:
+        """The points as a read-only, C-contiguous n x r int16 array over the same buffer."""
+        import numpy as np
+
+        return np.asarray(self._view)
 
     def __len__(self) -> int:
-        return self.array.shape[0]
+        return self._view.shape[0]
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return tuple(map(tuple, self.array[i].tolist()))
-        return tuple(self.array[i].tolist())
+            return tuple(map(self.__getitem__, range(len(self))[i]))
+        return self._row.unpack_from(self._view, range(len(self))[i] * self._row.size)
 
     def __iter__(self):
-        for start in range(0, len(self), self.BLOCK):
-            yield from map(tuple, self.array[start : start + self.BLOCK].tolist())
+        return self._row.iter_unpack(self._view)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, OrbitPoints):
-            a, b = self.array, other.array
-            return a.shape == b.shape and a.tobytes() == b.tobytes()
+            return self._view == other._view  # False for other shapes
         if isinstance(other, tuple):
             return len(self) == len(other) and tuple(self) == other
         return NotImplemented
@@ -96,7 +120,10 @@ class OrbitPoints(Sequence):
         return hash(tuple(self))
 
     def __repr__(self) -> str:
-        return f"OrbitPoints({len(self)} x {self.array.shape[1]} int16)"
+        return f"OrbitPoints({len(self)} x {self._view.shape[1]} int16)"
+
+    def __reduce__(self):
+        return OrbitPoints, (self.array,)  # a memoryview does not pickle; an array does
 
 
 @dataclass(frozen=True)
@@ -124,7 +151,7 @@ class OrbitResult:
             "budget_exceeded": self.budget_exceeded,
         }
         if self.elements is not None:
-            out["elements"] = self.elements.array.tolist()
+            out["elements"] = list(map(list, self.elements))
         return out
 
 
@@ -178,6 +205,65 @@ def _opposition(cartan: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
     return tuple(-c - 1 for c in v)
 
 
+def _value_bound(system: RootSystem, start: CoweightVector) -> int:
+    """A bound on every value an orbit walk from start forms; it must fit in int16.
+
+    A coordinate of w v is the pairing of the root w^-1 alpha_j with v, so it
+    is at most h * max(v) in size, h the largest root height.  A step forms
+    C[k][j] * v_j and v_k - C[k][j] * v_j; with lift = max(1, max |C[k][j]|)
+    and C[j][j] = 2 <= 1 + lift, both are at most (1 + lift) * h * max(v) in
+    size.
+    """
+    # off the diagonal C is <= 0, and a rank-1 matrix is (2), so this is max(1, max |C[k][j]|)
+    lift = max(1, -min(map(min, system.cartan)))
+    bound = (1 + lift) * sum(system.highest_root) * max(start)
+    if bound > 0x7FFF:
+        raise AssertionError(f"{system.type}: orbit values up to {bound} do not fit in int16")
+    return bound
+
+
+def _orbit_walk(
+    system: RootSystem, start: CoweightVector, limit: int, keep_elements: bool
+) -> tuple[list[int], memoryview | None]:
+    """The orbit tree of _orbit_bfs, every level walked in pure Python.
+
+    The child s_j v is kept when v_j > 0 and v_k >= C[k][j] * v_j for every
+    k < j (its coordinates before j are >= 0), which is tested before it is
+    formed; forming it changes only j and its Dynkin neighbours.  There is
+    no mirror, so no seam.  Kept points are sorted and packed as a read-only
+    n x r memoryview of native int16.
+    """
+    _value_bound(system, start)
+    cartan, r = system.cartan, system.rank
+    below = [[(k, cartan[k][j]) for k in range(j)] for j in range(r)]
+    touched = [[(k, row[j]) for k, row in enumerate(cartan) if row[j]] for j in range(r)]
+    level, sizes, points = [start], [], []
+    while level:
+        if len(points) + len(level) > limit:
+            raise AssertionError(f"orbit enumeration passed the predicted {limit} points")
+        sizes.append(len(level))
+        points += level
+        children = []
+        for v in level:
+            for j, vj in enumerate(v):
+                if vj <= 0:
+                    continue
+                for k, c in below[j]:
+                    if v[k] < c * vj:
+                        break
+                else:
+                    w = list(v)
+                    for k, c in touched[j]:
+                        w[k] -= c * vj
+                    children.append(tuple(w))
+        level = children
+    if not keep_elements:
+        return sizes, None
+    points.sort()
+    packed = struct.pack(f"{len(points) * r}h", *chain.from_iterable(points))
+    return sizes, memoryview(packed).cast("h", (len(points), r))
+
+
 def _orbit_bfs(
     system: RootSystem, start: CoweightVector, limit: int, keep_elements: bool
 ) -> tuple[list[int], np.ndarray | None]:
@@ -209,23 +295,14 @@ def _orbit_bfs(
     points fill one r x limit buffer, walked levels first and their mirrors
     after, and are then sorted.
 
-    A coordinate of w v is the pairing of the root w^-1 alpha_j with v, so it
-    is at most h * max(v) in size, h the largest root height.  A step forms
-    C[k][j] * v_j and v_k - C[k][j] * v_j; with lift = max(1, max |C[k][j]|)
-    and C[j][j] = 2 <= 1 + lift, both are at most (1 + lift) * h * max(v) in
-    size.  So levels are int8 when that bound fits and int16 otherwise; a
-    mirror only negates values within it.
+    Levels are int8 when the bound of _value_bound fits and int16 otherwise;
+    a mirror only negates values within it.
     """
     import numpy as np
 
     cartan = system.cartan
     r = system.rank
-    # off the diagonal C is <= 0, and a rank-1 matrix is (2), so this is max(1, max |C[k][j]|)
-    lift = max(1, -min(map(min, cartan)))
-    bound = (1 + lift) * sum(system.highest_root) * max(start)
-    if bound > np.iinfo(np.int16).max:
-        raise AssertionError(f"{system.type}: orbit values up to {bound} do not fit in int16")
-    dtype = np.int8 if bound <= np.iinfo(np.int8).max else np.int16
+    dtype = np.int8 if _value_bound(system, start) <= np.iinfo(np.int8).max else np.int16
     depth = _tree_depth(system, start)
     eps = np.array(_opposition(cartan))
     past_limit = f"orbit enumeration passed the predicted {limit} points"
@@ -293,7 +370,10 @@ def orbit(
     With enumerate=True the BFS runs and must agree with the quotient
     |W| / |stabilizer|.  The budget caps the orbit's total points and is
     compared with that quotient before any enumeration: larger orbits fall
-    back to the formula with budget_exceeded set.  keep_elements keeps the
+    back to the formula with budget_exceeded set.  The quotient also picks
+    the walk: the pure-Python _orbit_walk up to SMALL_ORBIT points, or up to
+    COLD_ORBIT while numpy is not yet imported, which leaves numpy
+    unimported; the numpy _orbit_bfs above.  keep_elements keeps the
     lexicographically sorted points as OrbitPoints (implies enumerate).
     """
     check_index_set(I, system.rank)
@@ -309,7 +389,9 @@ def orbit(
         return OrbitResult(predicted, w, stab, "order_formula")
     if predicted > budget:
         return OrbitResult(predicted, w, stab, "order_formula", budget_exceeded=True)
-    sizes, points = _orbit_bfs(system, xi_vector(I, system.rank), predicted, keep_elements)
+    small = SMALL_ORBIT if "numpy" in sys.modules else COLD_ORBIT
+    walk = _orbit_walk if predicted <= small else _orbit_bfs
+    sizes, points = walk(system, xi_vector(I, system.rank), predicted, keep_elements)
     size = sum(sizes)
     if size != predicted:
         raise AssertionError(
@@ -335,4 +417,7 @@ def two_number(system: RootSystem, I: IndexSet) -> int:
 
 def elements_to_bytes(elements: OrbitPoints) -> memoryview:
     """Read-only little-endian int16 byte view of the points, row-major; a copy on big-endian hosts only."""
-    return memoryview(elements.array.astype("<i2", copy=False)).cast("B").toreadonly()
+    data = elements._view.cast("B")
+    if sys.byteorder == "big":
+        data = memoryview(struct.pack(f"<{len(data) // 2}h", *data.cast("h")))
+    return data.toreadonly()

@@ -110,8 +110,15 @@ def subgroup_span(generators: list[IndexSet] | tuple[IndexSet, ...], rank: int) 
 
 
 def gamma_full(I: IndexSet, rank: int) -> GammaSubgroup:
-    """Gamma^I: the subgroup generated by all single-index involutions in I."""
-    return subgroup_span([IndexSet.of(j) for j in I], rank)
+    """Gamma^I: the subgroup generated by all single-index involutions in I.
+
+    The single bits of I, in ascending order, are already its reduced
+    echelon basis.
+    """
+    if I.mask >> rank:
+        j = next(j for j in I if j > rank)
+        raise ValueError(f"generator {IndexSet.of(j)} exceeds rank {rank}")
+    return GammaSubgroup(rank, tuple(1 << (j - 1) for j in I))
 
 
 def all_subgroups(rank: int) -> Iterator[GammaSubgroup]:

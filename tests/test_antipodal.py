@@ -2,7 +2,9 @@
 
 import bisect
 import math
+import pickle
 import random
+import sys
 import tracemalloc
 from dataclasses import replace
 from types import SimpleNamespace
@@ -15,8 +17,10 @@ from rspaces.admissible import IndexSet, enumerate_admissible
 from rspaces.antipodal import (
     DEFAULT_ORBIT_BUDGET,
     OrbitPoints,
+    SMALL_ORBIT,
     _opposition,
     _orbit_bfs,
+    _orbit_walk,
     _tree_depth,
     elements_to_bytes,
     orbit,
@@ -300,10 +304,11 @@ def test_orbit_bfs_refuses_values_beyond_int16():
             nonzero_on=lambda mask: 1,
         )
 
-    sizes, points = _orbit_bfs(stand_in(16383), (1,), 2, keep_elements=True)
-    assert sizes == [1, 1] and points.tolist() == [[-1], [1]]
-    with pytest.raises(AssertionError, match="32768 do not fit in int16"):
-        _orbit_bfs(stand_in(16384), (1,), 2, keep_elements=False)
+    for walk in (_orbit_bfs, _orbit_walk):
+        sizes, points = walk(stand_in(16383), (1,), 2, keep_elements=True)
+        assert sizes == [1, 1] and points.tolist() == [[-1], [1]]
+        with pytest.raises(AssertionError, match="32768 do not fit in int16"):
+            walk(stand_in(16384), (1,), 2, keep_elements=False)
 
 
 def test_orbit_keep_elements_peak_memory():
@@ -465,6 +470,49 @@ def test_orbit_bfs_matches_tree_rule_oracle(fam, r):
         assert points.tobytes() == want_points.tobytes()
 
 
+@pytest.mark.parametrize("fam,r", POINCARE_TYPES)
+def test_orbit_walk_matches_orbit_bfs(fam, r):
+    # the pure-Python walk, called whatever SMALL_ORBIT is, gives the numpy
+    # walk's level sizes and point bytes on every orbit of up to 2,000 points
+    system = build(rst(fam, r))
+    for m in range(1, 1 << r):
+        size = orbit(system, IndexSet(m)).size
+        if size > 2000:
+            continue
+        start = xi_vector(IndexSet(m), r)
+        want_sizes, want_points = _orbit_bfs(system, start, size, keep_elements=True)
+        sizes, points = _orbit_walk(system, start, size, keep_elements=True)
+        assert sizes == want_sizes
+        assert points.readonly and points.format == "h" and points.shape == want_points.shape
+        assert points.tobytes() == want_points.tobytes()
+        assert _orbit_walk(system, start, size, keep_elements=False) == (want_sizes, None)
+
+
+@pytest.mark.parametrize(
+    "fam,r",
+    [("A", 1), ("A", 3), ("B", 3), ("C", 3), ("D", 4), ("G", 2), ("F", 4), ("BC", 2), ("E", 6)],
+)
+def test_orbit_walk_matches_naive_bfs(fam, r):
+    system = build(rst(fam, r))
+    for m in (1, (1 << r) - 1, 1 << (r // 2)):
+        levels = naive_orbit(system, xi_vector(IndexSet(m), r))
+        size = sum(map(len, levels))
+        sizes, points = _orbit_walk(system, xi_vector(IndexSet(m), r), size, keep_elements=True)
+        assert sizes == [len(level) for level in levels]
+        assert list(OrbitPoints(points)) == sorted(set().union(*levels))
+
+
+@pytest.mark.parametrize("keep", [False, True])
+def test_orbit_walk_stops_past_its_limit(keep):
+    # A8 {1} has 9 points, one per level: the walk stops at the level that passes the limit
+    system, start = build(rst("A", 8)), xi_vector(IndexSet.of(1), 8)
+    for limit in (4, 8):
+        with pytest.raises(AssertionError, match=f"passed the predicted {limit} points"):
+            _orbit_walk(system, start, limit, keep_elements=keep)
+    sizes, points = _orbit_walk(system, start, 20, keep_elements=keep)
+    assert sizes == [1] * 9 and (points is None or points.shape == (9, 8))
+
+
 # ---------------------------------------------------------------------------
 # the mirror: w0 maps tree level n onto level L - n as v -> -v[eps]
 
@@ -498,11 +546,13 @@ def test_tree_depth_counts_the_moving_roots():
 
 
 def test_seam_check_catches_an_identity_opposition(monkeypatch):
-    # eps reverses A8, so {1} is not fixed: mirroring by the identity fails at the seam
+    # eps reverses A8, so {1} is not fixed: mirroring by the identity fails at
+    # the seam.  The orbit has 9 points, so orbit() walks it without a mirror:
+    # the numpy walk, where the seam is, is called directly.
     system, I = build(rst("A", 8)), IndexSet.of(1)
     monkeypatch.setattr(antipodal, "_opposition", lambda cartan: tuple(range(len(cartan))))
     with pytest.raises(AssertionError, match="misses its mirror"):
-        orbit(system, I, enumerate=True)
+        _orbit_bfs(system, xi_vector(I, 8), orbit(system, I).size, keep_elements=False)
 
 
 @pytest.mark.parametrize("keep", [False, True])
@@ -524,8 +574,9 @@ def test_seam_check_catches_a_wrong_depth(monkeypatch, fam, r, I, depth, off):
     system, I = build(rst(fam, r)), IndexSet.of(*I)
     assert _tree_depth(system, xi_vector(I, r)) == depth
     monkeypatch.setattr(antipodal, "_tree_depth", lambda system, start: depth + off)
+    # D7 {6} has 64 points, which orbit() walks without numpy or a seam
     with pytest.raises(AssertionError, match="misses its mirror"):
-        orbit(system, I, enumerate=True)
+        _orbit_bfs(system, xi_vector(I, r), orbit(system, I).size, keep_elements=False)
 
 
 def test_stabilizer_matches_naive_orbit_quotient():
@@ -605,6 +656,47 @@ def test_orbit_points_array_is_readonly_int16():
         arr[0, 0] = 1
     with pytest.raises(ValueError):
         OrbitPoints(np.zeros((3, 2), dtype=np.int32))
+    with pytest.raises(ValueError):
+        OrbitPoints(np.zeros((3, 4), dtype=np.int16)[:, ::2])  # not C-contiguous
+    with pytest.raises(ValueError):
+        OrbitPoints(np.zeros(6, dtype=np.int16))  # not n x r
+
+
+@pytest.mark.parametrize("loaded, want", [(True, "wbbb"), (False, "wwwb")])
+def test_orbit_picks_its_walk_by_size_and_whether_numpy_is_loaded(monkeypatch, loaded, want):
+    # the pure-Python walk takes orbits of at most SMALL_ORBIT points, and of
+    # at most COLD_ORBIT while numpy is not imported; A4 {2}, {1,2}, {1,2,3}
+    # and full have 10, 20, 60 and 120 points
+    seen = []
+
+    def recording(letter):
+        def walk(system, start, limit, keep_elements):
+            seen.append(letter)
+            return _orbit_walk(system, start, limit, keep_elements)  # never imports numpy
+
+        return walk
+
+    monkeypatch.setattr(antipodal, "_orbit_walk", recording("w"))
+    monkeypatch.setattr(antipodal, "_orbit_bfs", recording("b"))
+    monkeypatch.setattr(antipodal, "SMALL_ORBIT", 10)
+    monkeypatch.setattr(antipodal, "COLD_ORBIT", 60)
+    if not loaded:
+        monkeypatch.delitem(sys.modules, "numpy")
+    system = build(rst("A", 4))
+    sizes = [orbit(system, IndexSet(m), enumerate=True).size for m in (0b10, 0b11, 0b111, 0b1111)]
+    assert sizes == [10, 20, 60, 120]
+    assert "".join(seen) == want
+
+
+def test_small_orbit_points_array_is_a_readonly_view():
+    # up to SMALL_ORBIT the points are packed bytes, not numpy's array: `array`
+    # is a read-only int16 view of them, the same memory on every read
+    res = orbit(build(rst("A", 4)), IndexSet.of(2), keep_elements=True)
+    assert res.size == 10 <= SMALL_ORBIT
+    arr = res.elements.array
+    assert arr.dtype == np.int16 and arr.flags.c_contiguous and not arr.flags.writeable
+    assert arr.shape == (10, 4) and np.shares_memory(arr, res.elements.array)
+    assert arr.tolist() == [list(v) for v in res.elements]
 
 
 def test_orbit_points_equal_and_hash_as_tuples():
@@ -629,6 +721,14 @@ def test_orbit_points_differ_by_bytes_shape_or_points():
     assert pts != tuple((-a, -b) for a, b in pts)  # same length, other points
 
 
+@pytest.mark.parametrize("m", [0b111111, 0b1])  # 51,840 and 27 points: both walks
+def test_orbit_result_pickles_with_its_points(m):
+    res = orbit(build(rst("E", 6)), IndexSet(m), keep_elements=True)
+    back = pickle.loads(pickle.dumps(res))
+    assert back == res and back.elements.array.tobytes() == res.elements.array.tobytes()
+    assert not back.elements.array.flags.writeable
+
+
 def test_orbit_result_hash_skips_points(monkeypatch):
     res = orbit(build(rst("E", 6)), IndexSet.full(6), keep_elements=True)
 
@@ -651,3 +751,15 @@ def test_elements_to_bytes_equals_points_as_int16():
         assert isinstance(raw, memoryview) and raw.readonly and raw.format == "B"
         if np.little_endian:
             assert np.shares_memory(np.frombuffer(raw, dtype="<i2"), res.elements.array)
+
+
+@pytest.mark.parametrize("m, size", [(0b111111, 51840), (0b1, 27)])
+def test_elements_to_bytes_byteswaps_on_big_endian_hosts(monkeypatch, m, size):
+    # on a big-endian host the native int16 points are packed little-endian;
+    # run on this host's values, that packing gives the bytes of the native path
+    res = orbit(build(rst("E", 6)), IndexSet(m), keep_elements=True)
+    native = bytes(elements_to_bytes(res.elements))
+    monkeypatch.setattr(antipodal.sys, "byteorder", "big")
+    raw = elements_to_bytes(res.elements)
+    assert raw.readonly and raw.format == "B" and len(raw) == size * 6 * 2
+    assert raw == np.array(tuple(res.elements), dtype="<i2").tobytes() == native

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from rspaces.antipodal import COLD_ORBIT, SMALL_ORBIT
 from rspaces.cli import main
 
 REPO = Path(__file__).resolve().parent.parent
@@ -164,15 +165,23 @@ run("check", "BC", "3", "--set", "1,2,3")
 run("two-number", "A", "4", "--set", "2", "--format", "json")
 run("subgroups", "A", "4", "--set", "1,2,3")
 run("orbit", "E", "7", "--set", "1,2,3,4,5,6,7")
-print("numpy" in sys.modules)
 run("orbit", "A", "4", "--set", "2", "--enumerate")
+run("orbit", "A", "4", "--set", "2", "--elements", "--format", "json")
+run("orbit", "F", "4", "--set", "1,2,3,4", "--elements", "--format", "json")
+print("numpy" in sys.modules)
+run("orbit", "E", "6", "--set", "1,2,3,4,5,6", "--enumerate")
 print("numpy" in sys.modules, "rspaces.verify" in sys.modules)
 """
     env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
     out = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
     ).stdout
-    assert out == "False\nTrue False\n"  # only verify-all loads the acceptance suite
+    # until numpy is loaded, orbits of at most COLD_ORBIT points (A4 {2} has
+    # 10, F4 full 1,152, the most of any rank <= 4) are walked without it,
+    # larger ones (E6 full has 51,840) with it; only verify-all loads the
+    # acceptance suite
+    assert 10 <= SMALL_ORBIT < 1152 <= COLD_ORBIT < 51840
+    assert out == "False\nTrue False\n"
 
 
 def test_orbit_budget_exceeded_not_strict(capsys):

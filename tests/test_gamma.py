@@ -75,6 +75,17 @@ def test_distinct_labels_give_distinct_elements():
     assert len(set(sub.elements)) == 8
 
 
+def test_gamma_full_is_the_span_of_the_single_indices():
+    # the basis built directly is the one the echelon pass makes
+    for r in range(1, 7):
+        for m in range(1 << r):
+            I = IndexSet(m)
+            assert gamma_full(I, r) == subgroup_span([IndexSet.of(j) for j in I], r)
+            assert gamma_full(I, r).order == 1 << len(I)
+    with pytest.raises(ValueError, match=r"^generator \{5\} exceeds rank 4$"):
+        gamma_full(IndexSet.of(2, 5, 7), 4)
+
+
 def test_subgroup_span_example():
     sub = subgroup_span([IndexSet.of(1, 3), IndexSet.of(2)], 4)
     assert [e.mask for e in sub.elements] == [0b0000, 0b0010, 0b0101, 0b0111]
