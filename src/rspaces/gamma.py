@@ -39,6 +39,14 @@ def _reduced_echelon(masks: Iterable[int]) -> tuple[int, ...]:
     return tuple(rows[p] for p in sorted(rows))
 
 
+def _element_masks(basis: tuple[int, ...]) -> list[int]:
+    """The masks of all 2^dim elements of the span of a basis (its XOR closure), sorted."""
+    elems = [0]
+    for b in basis:
+        elems += [e ^ b for e in elems]
+    return sorted(elems)
+
+
 def _in_span(mask: int, basis: tuple[int, ...]) -> bool:
     cur = mask
     for b in basis:
@@ -77,10 +85,7 @@ class GammaSubgroup:
     @property
     def elements(self) -> tuple[IndexSet, ...]:
         """All 2^dim element labels, sorted by mask."""
-        elems = [0]
-        for b in self.basis:
-            elems += [e ^ b for e in elems]
-        return tuple(IndexSet(m) for m in sorted(elems))
+        return tuple(map(IndexSet, _element_masks(self.basis)))
 
     @property
     def dim(self) -> int:
@@ -186,12 +191,20 @@ def fixed_root_set(system: RootSystem, subgroup: GammaSubgroup) -> FixedRootSet:
 
 
 def fixed_root_set_by_definition(system: RootSystem, subgroup: GammaSubgroup) -> FixedRootSet:
-    """Same set computed literally over every subgroup element; test oracle."""
+    """Same set computed literally over every subgroup element; test oracle.
+
+    Each root's odd mask from parity_masks is tested on the element masks,
+    identity first, up to the first odd one; a kept root passed all 2^dim.
+    It never reads odd_columns, odd_on, _moved_roots or fixed_root_set.
+    """
     _check_subgroup_rank(system, subgroup)
-    elements = [J.mask for J in subgroup.elements]
+    elements = _element_masks(subgroup.basis)
     keep = []
     for root, (odd, _) in zip(system.positive_roots, system.parity_masks):
-        if all((odd & m).bit_count() % 2 == 0 for m in elements):
+        for m in elements:
+            if (odd & m).bit_count() % 2:
+                break
+        else:
             keep.append(root)
     return FixedRootSet(tuple(keep))
 

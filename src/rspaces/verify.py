@@ -89,15 +89,18 @@ def _criterion(number: int, name: str, limit: float | None = None):
 
 @_criterion(1, "classification reproduction", limit=5.0)
 def criterion_1_classification(work: dict[str, int]) -> tuple[bool, str]:
-    types = list(standard_types())
+    work.update(types=0, index_sets=0, admissible=0)
     bad = []
-    for rst in types:
+    for rst in standard_types():
         report = adm.verify_classification(rst)
+        work["types"] += 1
+        work["index_sets"] += (1 << rst.rank) - 1  # every non-empty subset, against the closed form
+        work["admissible"] += len(report.admissible_sets)
         if not report.closed_form_agrees:
             bad.append((rst, report.witness_discrepancies[:3]))
     if bad:
         return False, f"closed-form mismatches: {bad}"
-    return True, f"{len(types)} types, zero discrepancies"
+    return True, f"{work['types']} types, zero discrepancies"
 
 
 @_criterion(2, "type-specific counts")
@@ -109,10 +112,13 @@ def criterion_2_counts(work: dict[str, int]) -> tuple[bool, str]:
         "G": lambda r: 1,
         "BC": lambda r: 0,
     }
+    work.update(types=0, admissible=0)
     for rst in standard_types():
         if rst.family not in expected:
             continue
         got = len(adm.enumerate_admissible(build(rst)))
+        work["types"] += 1
+        work["admissible"] += got
         want = expected[rst.family](rst.rank)
         if got != want:
             return False, f"{rst}: {got} admissible sets, expected {want}"
@@ -121,7 +127,9 @@ def criterion_2_counts(work: dict[str, int]) -> tuple[bool, str]:
 
 @_criterion(3, "union closure")
 def criterion_3_union_closure(work: dict[str, int]) -> tuple[bool, str]:
+    work.update(types=0)
     for rst in standard_types():
+        work["types"] += 1
         if not adm.is_union_closed(build(rst)):
             return False, f"{rst}: union of admissible sets not admissible"
     return True, "closed under union everywhere"
@@ -129,13 +137,16 @@ def criterion_3_union_closure(work: dict[str, int]) -> tuple[bool, str]:
 
 @_criterion(4, "odd-coefficient lemma")
 def criterion_4_odd_coefficient(work: dict[str, int]) -> tuple[bool, str]:
+    work.update(types=0, non_reduced=0)
     for rst in standard_types():
         system = build(rst)
         witness = adm.find_all_even_root(system)
+        work["types"] += 1
         if rst.reduced:
             if witness is not None:
                 return False, f"{rst}: all-even root {witness} in a reduced system"
         else:
+            work["non_reduced"] += 1
             want = tuple([2] * rst.rank)  # 2e_1
             if witness != want:
                 return False, f"{rst}: witness {witness}, expected 2e_1 = {want}"
@@ -146,12 +157,16 @@ def criterion_4_odd_coefficient(work: dict[str, int]) -> tuple[bool, str]:
 
 @_criterion(5, "extrinsic-symmetric subsets")
 def criterion_5_extrinsic(work: dict[str, int]) -> tuple[bool, str]:
+    work.update(systems=0, extrinsic_subsets=0)
     for system in _systems():
         ext = adm.extrinsic_symmetric_indices(system)
+        work["systems"] += 1
         for m in range(1, 1 << system.rank):
             I = IndexSet(m)
-            if I.issubset(ext) and not adm.is_admissible(system, I):
-                return False, f"{system}: extrinsic subset {I} not admissible"
+            if I.issubset(ext):
+                work["extrinsic_subsets"] += 1
+                if not adm.is_admissible(system, I):
+                    return False, f"{system}: extrinsic subset {I} not admissible"
     return True, "all extrinsic subsets admissible"
 
 
@@ -210,7 +225,7 @@ def criterion_8_maximality(work: dict[str, int]) -> tuple[bool, str]:
 
 @_criterion(9, "three-step flag example")
 def criterion_9_flag_example(work: dict[str, int]) -> tuple[bool, str]:
-    n_cases = 0
+    work.update(index_triples=0)
     for r in range(3, 7):
         system = build(RootSystemType("A", r))
         for i1, i2, i3 in combinations(range(1, r + 1), 3):
@@ -220,8 +235,8 @@ def criterion_9_flag_example(work: dict[str, int]) -> tuple[bool, str]:
                 return False, f"A{r} {I}: flag-example subgroup is not a triple"
             if not (sub.order == 4 and gam.gamma_full(I, r).order == 8):
                 return False, f"A{r} {I}: subgroup not proper of order 4 in order 8"
-            n_cases += 1
-    return True, f"{n_cases} index triples across A3..A6"
+            work["index_triples"] += 1
+    return True, f"{work['index_triples']} index triples across A3..A6"
 
 
 def _nested_subgroups(max_rank: int) -> Iterator[tuple]:

@@ -27,9 +27,8 @@ CRITERION_NAMES = [
 ]
 
 
-def _run(criterion, work=None):
-    """Run one criterion; it must pass, under its own number, and report `work`
-    (None where it counts nothing)."""
+def _run(criterion, work):
+    """Run one criterion; it must pass, under its own number, and report `work`."""
     result = criterion()
     print(result.line())
     assert result.passed, result.line()
@@ -40,27 +39,31 @@ def _run(criterion, work=None):
 
 def test_criterion_01_classification_reproduction():
     """Brute-force parity enumeration equals the closed forms on every subset."""
-    _run(verify.criterion_1_classification)
+    result = _run(
+        verify.criterion_1_classification, {"types": 40, "index_sets": 2960, "admissible": 1393}
+    )
+    assert result.detail == "40 types, zero discrepancies"
 
 
 def test_criterion_02_type_specific_counts():
     """A_r: 2^r - 1, B_r: r, C_r: 2^(r-1), G2: 1, BC_r: 0."""
-    _run(verify.criterion_2_counts)
+    _run(verify.criterion_2_counts, {"types": 31, "admissible": 792})
 
 
 def test_criterion_03_union_closure():
     """Unions of admissible subsets are admissible in every system."""
-    _run(verify.criterion_3_union_closure)
+    _run(verify.criterion_3_union_closure, {"types": 40})
 
 
 def test_criterion_04_odd_coefficient_lemma():
     """No reduced system has an all-even root; BC_r witnesses 2e_1."""
-    _run(verify.criterion_4_odd_coefficient)
+    _run(verify.criterion_4_odd_coefficient, {"types": 40, "non_reduced": 8})
 
 
 def test_criterion_05_extrinsic_subsets():
     """Subsets of the coefficient-one indices of the highest root are admissible."""
-    _run(verify.criterion_5_extrinsic)
+    # the non-empty subsets of each system's extrinsic indices
+    _run(verify.criterion_5_extrinsic, {"systems": 40, "extrinsic_subsets": 555})
 
 
 def test_criterion_06_orbit_agreement():
@@ -101,7 +104,7 @@ def test_criterion_08_subgroup_maximality():
 
 def test_criterion_09_flag_example():
     """The order-4 proper subgroup forms a triple for every index triple, A3..A6."""
-    result = _run(verify.criterion_9_flag_example)
+    result = _run(verify.criterion_9_flag_example, {"index_triples": 35})
     assert result.detail == "35 index triples across A3..A6"
 
 
@@ -177,6 +180,7 @@ def _fails(criterion, detail):
 def test_criterion_01_fails_on_a_closed_form_mismatch(monkeypatch):
     def report(rst):  # the detail quotes the first three discrepancies of each type
         return SimpleNamespace(
+            admissible_sets=(),
             closed_form_agrees=rst != RootSystemType("G", 2),
             witness_discrepancies=[(IndexSet(m), True, False) for m in range(1, 5)],
         )

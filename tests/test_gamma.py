@@ -1,10 +1,11 @@
 """Involution subgroups, fixed root sets, and the triple criterion."""
 
 import inspect
+import random
 from dataclasses import fields
 from functools import reduce
 from itertools import combinations
-from operator import or_
+from operator import or_, xor
 
 import pytest
 
@@ -25,7 +26,7 @@ from rspaces.gamma import (
     triple_witness,
     verify_maximality_proposition,
 )
-from rspaces.roots import RootSystemType, build, standard_types
+from rspaces.roots import RootSystemType, build, evaluate_on_xi_sum, standard_types
 
 
 def rst(fam, r):
@@ -160,6 +161,16 @@ def test_echelon_bases_pass_the_public_constructor():
     assert n_bases > 10_000
 
 
+def test_elements_are_the_sorted_xor_closure_of_the_basis():
+    """Every subgroup through rank 4: each sum of basis rows once, in mask order."""
+    for r in range(1, 5):
+        for sub in all_subgroups(r):
+            sums = (combinations(sub.basis, k) for k in range(sub.dim + 1))
+            closure = {reduce(xor, rows, 0) for by_size in sums for rows in by_size}
+            assert [J.mask for J in sub.elements] == sorted(closure)
+            assert all(type(J) is IndexSet for J in sub.elements)
+
+
 def test_subgroup_str():
     # acceptance criteria 8 and 10 quote subgroups this way in their failure details
     assert str(subgroup_span([], 3)) == "<e>"
@@ -186,6 +197,33 @@ def test_fixed_root_set_basis_equals_definition():
         system = build(rst(fam, r))
         for sub in all_subgroups(r):
             assert fixed_root_set(system, sub) == fixed_root_set_by_definition(system, sub)
+
+
+def _fixed_by_coefficient_sums(system, sub):
+    """The definition in coefficients: roots with even value on xi_J for every J."""
+    return tuple(
+        root
+        for root in system.positive_roots
+        if all(evaluate_on_xi_sum(root, J) % 2 == 0 for J in sub.elements)
+    )
+
+
+def test_definition_oracle_matches_coefficient_sums():
+    """fixed_root_set_by_definition, which reads parity masks, against the raw coefficients:
+    every subgroup of every type through rank 4, then a seeded draw at ranks 5-8."""
+    cases = [(build(t), sub) for t in standard_types(4) for sub in all_subgroups(t.rank)]
+    assert len(cases) == 495 and {"BC1", "BC4"} <= {str(s.type) for s, _ in cases}
+    rng = random.Random(1)
+    for t in standard_types():
+        if t.rank >= 5:
+            system = build(t)
+            for _ in range(12):
+                gens = [IndexSet(rng.randrange(1, 1 << t.rank)) for _ in range(rng.randint(1, 4))]
+                cases.append((system, subgroup_span(gens, t.rank)))
+    assert "BC8" in {str(s.type) for s, _ in cases}
+    for system, sub in cases:
+        want = _fixed_by_coefficient_sums(system, sub)
+        assert fixed_root_set_by_definition(system, sub).roots == want
 
 
 def test_fixed_root_set_anti_monotone():
