@@ -22,6 +22,8 @@ class IndexSet:
     mask: int = 0
 
     def __post_init__(self) -> None:
+        if not isinstance(self.mask, int):  # a float or numpy mask breaks len, iter and every fold
+            raise ValueError(f"mask must be an int, got {self.mask!r}")
         if self.mask < 0:
             raise ValueError(f"negative mask {self.mask}")
 
@@ -42,10 +44,6 @@ class IndexSet:
     def full(cls, rank: int) -> "IndexSet":
         return cls((1 << rank) - 1)
 
-    @property
-    def indices(self) -> tuple[int, ...]:
-        return tuple(self)
-
     def __iter__(self) -> Iterator[int]:
         mask = self.mask
         while mask:
@@ -56,23 +54,8 @@ class IndexSet:
     def __len__(self) -> int:
         return self.mask.bit_count()
 
-    def __bool__(self) -> bool:
-        return self.mask != 0
-
     def __contains__(self, j: int) -> bool:
         return j >= 1 and (self.mask >> (j - 1)) & 1 == 1
-
-    def __or__(self, other: "IndexSet") -> "IndexSet":
-        return IndexSet(self.mask | other.mask)
-
-    def __and__(self, other: "IndexSet") -> "IndexSet":
-        return IndexSet(self.mask & other.mask)
-
-    def __xor__(self, other: "IndexSet") -> "IndexSet":
-        return IndexSet(self.mask ^ other.mask)
-
-    def __sub__(self, other: "IndexSet") -> "IndexSet":
-        return IndexSet(self.mask & ~other.mask)
 
     def issubset(self, other: "IndexSet") -> bool:
         return self.mask & ~other.mask == 0

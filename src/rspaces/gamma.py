@@ -95,9 +95,6 @@ class GammaSubgroup:
     def order(self) -> int:
         return 1 << self.dim
 
-    def contains(self, J: IndexSet) -> bool:
-        return _in_span(J.mask, self.basis)
-
     def issubgroup_of(self, other: "GammaSubgroup") -> bool:
         return all(_in_span(b, other.basis) for b in self.basis)
 
@@ -207,12 +204,6 @@ def fixed_root_set_by_definition(system: RootSystem, subgroup: GammaSubgroup) ->
         else:
             keep.append(root)
     return FixedRootSet(tuple(keep))
-
-
-def roots_vanishing_on(system: RootSystem, I: IndexSet) -> FixedRootSet:
-    """Positive roots supported entirely outside I."""
-    check_index_set(I, system.rank)
-    return FixedRootSet(system.roots_at(system.all_roots & ~system.nonzero_on(I.mask)))
 
 
 def is_triple(system: RootSystem, I: IndexSet, subgroup: GammaSubgroup) -> bool:

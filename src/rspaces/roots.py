@@ -125,7 +125,6 @@ class RootSystem:
     parity_masks: tuple[tuple[int, int], ...]
     odd_columns: tuple[int, ...] = field(repr=False, compare=False)
     support_columns: tuple[int, ...] = field(repr=False, compare=False)
-    _root_set: frozenset[Root] = field(repr=False, hash=False, compare=False, default=frozenset())
 
     @property
     def rank(self) -> int:
@@ -153,9 +152,6 @@ class RootSystem:
         # bin's digits, lowest bit first, as 0/1 bytes selecting roots
         selectors = bin(bits)[:1:-1].encode().translate(_BIT_SELECTORS)
         return tuple(compress(self.positive_roots, selectors))
-
-    def __contains__(self, root: Root) -> bool:
-        return tuple(root) in self._root_set
 
     def __str__(self) -> str:
         return str(self.type)
@@ -193,9 +189,7 @@ def build(rst: RootSystemType) -> RootSystem:
     )
     odd_columns = tuple(sum(1 << i for i, root in enumerate(roots) if root[j] & 1) for j in range(r))
     support_columns = tuple(sum(1 << i for i, root in enumerate(roots) if root[j]) for j in range(r))
-    system = _BUILT[rst] = RootSystem(
-        rst, roots, cartan, highest, simple, masks, odd_columns, support_columns, frozenset(roots)
-    )
+    system = _BUILT[rst] = RootSystem(rst, roots, cartan, highest, simple, masks, odd_columns, support_columns)
     return system
 
 
@@ -265,18 +259,15 @@ def evaluate_on_xi_sum(root: Root, indices: Iterable[int]) -> int:
     return sum(coefficient(root, j) for j in indices)
 
 
-def to_json_dict(system: RootSystem) -> dict:
-    """Canonical JSON-ready form: {family, rank, positive_roots, highest_root, cartan}."""
-    return {
+def to_json(system: RootSystem) -> str:
+    """Canonical JSON of {family, rank, positive_roots, highest_root, cartan}, keys sorted."""
+    import json
+
+    data = {
         "family": system.type.family,
         "rank": system.type.rank,
         "positive_roots": [list(root) for root in system.positive_roots],
         "highest_root": list(system.highest_root),
         "cartan": [list(row) for row in system.cartan],
     }
-
-
-def to_json(system: RootSystem) -> str:
-    import json
-
-    return json.dumps(to_json_dict(system), sort_keys=True, separators=(",", ": "), indent=1)
+    return json.dumps(data, sort_keys=True, separators=(",", ": "), indent=1)

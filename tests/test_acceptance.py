@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines; `rspaces verify-all` drives the same checks from the command line.
 """
 
+import hashlib
 import itertools
 from types import SimpleNamespace
 
@@ -108,8 +109,18 @@ def test_criterion_09_flag_example():
     assert result.detail == "35 index triples across A3..A6"
 
 
-def test_criterion_10_property_suite():
+def test_criterion_10_property_suite(monkeypatch):
     """Involutivity, generator sufficiency, anti-monotonicity, triple-iff-admissible."""
+    # every seeded case, (type, *drawn values), is hashed as drawn, before its predicate runs
+    digest = hashlib.sha256()
+    seeded_cases = verify._seeded_cases
+
+    def recording(rng, draw):
+        for case in seeded_cases(rng, draw):
+            digest.update(repr((case[0].type, *case[1:])).encode())
+            yield case
+
+    monkeypatch.setattr(verify, "_seeded_cases", recording)
     # exhaustive cases per property, then the seeded cases of all four per rank
     work = {
         "involutivity": 48_028,
@@ -123,6 +134,7 @@ def test_criterion_10_property_suite():
     }
     result = _run(verify.criterion_10_properties, work)
     assert result.detail == "4 properties, exhaustive at rank <= 4 plus 10000 seeded cases each"
+    assert digest.hexdigest() == "92b881dc3845784f234483974b1ffb0b5fe41b254f4f48c2d5a60c50f2f3720d"
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from rspaces.admissible import (
@@ -32,16 +33,10 @@ def test_index_set_basics():
     I = IndexSet.of(1, 3)
     assert I.mask == 0b101
     assert list(I) == [1, 3]
-    assert I.indices == (1, 3)
     assert len(I) == 2
     assert 1 in I and 3 in I and 2 not in I
     assert str(I) == "{1,3}"
-    assert IndexSet.of(2) | I == IndexSet.of(1, 2, 3)
-    assert IndexSet.of(1, 2) | IndexSet.of(2, 3) == IndexSet.of(1, 2, 3)  # overlapping: not XOR
     assert IndexSet.of(2, 2) == IndexSet.of(2)  # a repeated index is set once, not toggled
-    assert I & IndexSet.of(3, 4) == IndexSet.of(3)
-    assert I ^ IndexSet.of(3) == IndexSet.of(1)
-    assert I - IndexSet.of(1) == IndexSet.of(3)
     assert IndexSet.of(1).issubset(I) and not I.issubset(IndexSet.of(1))
     assert IndexSet.full(4).mask == 0b1111
     assert not IndexSet(0)
@@ -55,6 +50,10 @@ def test_index_set_rejects_bad_indices():
         IndexSet.of(0)
     with pytest.raises(ValueError):
         IndexSet(-1)
+    # a mask that is not an int is refused when built, not where it is first read
+    for mask in (1.5, 2.0, np.int64(5)):
+        with pytest.raises(ValueError, match="mask must be an int"):
+            IndexSet(mask)
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +122,7 @@ def test_enumerate_d5_structure():
         I = IndexSet(m)
         if I.issubset(IndexSet.of(2, 3)):
             assert m not in admissible, f"{I} is a subset of the interior"
-        if I & IndexSet.of(4, 5):
+        if m & IndexSet.of(4, 5).mask:
             assert m in admissible, f"{I} meets the fork"
 
 
@@ -248,7 +247,7 @@ def test_witness_root_is_even_and_nonzero():
     system = build(rst("B", 3))
     I = IndexSet.of(2, 3)
     w = admissibility_witness(system, I)
-    assert w is not None and w in system
+    assert w is not None and w in system.positive_roots
     values = [coefficient(w, i) for i in I]
     assert all(v % 2 == 0 for v in values) and any(values)
     assert admissibility_witness(system, IndexSet.of(1, 2)) is None

@@ -38,23 +38,30 @@ def rst(fam, r):
     return RootSystemType(fam, r)
 
 
+_NAIVE_ORBITS = {}  # (type, start) -> levels: two tests walk the same E6 starts
+
+
 def naive_orbit(system, start):
     """Plain BFS applying every reflection with a global seen-set; oracle.
 
-    Returns the BFS levels: level n holds the points at distance n from start.
+    Returns the BFS levels as tuples: level n holds the points at distance n
+    from start.
     """
-    seen = {start}
-    levels = [[start]]
-    while levels[-1]:
-        nxt = []
-        for v in levels[-1]:
-            for j in range(1, system.rank + 1):
-                w = reflect(v, j, system)
-                if w not in seen:
-                    seen.add(w)
-                    nxt.append(w)
-        levels.append(nxt)
-    return levels[:-1]
+    key = (system.type, start)
+    if key not in _NAIVE_ORBITS:
+        seen = {start}
+        levels = [[start]]
+        while levels[-1]:
+            nxt = []
+            for v in levels[-1]:
+                for j in range(1, system.rank + 1):
+                    w = reflect(v, j, system)
+                    if w not in seen:
+                        seen.add(w)
+                        nxt.append(w)
+            levels.append(nxt)
+        _NAIVE_ORBITS[key] = tuple(map(tuple, levels[:-1]))
+    return _NAIVE_ORBITS[key]
 
 
 def tree_bfs_by_rule(system, start):

@@ -11,7 +11,6 @@ from rspaces.gamma import (
     fixed_root_set_by_definition,
     gamma_full,
     is_triple,
-    roots_vanishing_on,
     triple_witness,
 )
 from rspaces.roots import RootSystemType, build
@@ -29,7 +28,6 @@ INDEX_SET_CALLS = {
     "xi_vector": lambda I: xi_vector(I, 3),
     "triple_witness": lambda I: triple_witness(A3, I, SUBGROUP),
     "is_triple": lambda I: is_triple(A3, I, SUBGROUP),
-    "roots_vanishing_on": lambda I: roots_vanishing_on(A3, I),
 }
 
 SUBGROUP_CALLS = {

@@ -1,5 +1,7 @@
 """The public names of the package, which every change keeps the same."""
 
+from dataclasses import fields
+
 import rspaces
 import rspaces.antipodal
 import rspaces.roots
@@ -51,3 +53,36 @@ def test_weyl_group_order_is_one_function():
     # defined with the other per-family numbers in roots, re-exported unchanged
     assert rspaces.weyl_group_order is rspaces.roots.weyl_group_order
     assert rspaces.antipodal.weyl_group_order is rspaces.roots.weyl_group_order
+
+
+def public_members(cls):
+    """Dataclass fields plus every class attribute not starting with an underscore."""
+    return sorted({f.name for f in fields(cls)} | {n for n in dir(cls) if not n.startswith("_")})
+
+
+def test_public_class_members():
+    # an added member is added on purpose, and a removed one stays removed
+    assert public_members(rspaces.IndexSet) == ["from_iterable", "full", "issubset", "mask", "of"]
+    assert public_members(rspaces.GammaSubgroup) == [
+        "basis", "dim", "elements", "issubgroup_of", "order", "rank",
+    ]
+    assert public_members(rspaces.RootSystem) == [
+        "all_roots",
+        "cartan",
+        "even_nonzero_on",
+        "highest_root",
+        "nonzero_on",
+        "odd_columns",
+        "odd_on",
+        "parity_masks",
+        "positive_roots",
+        "rank",
+        "roots_at",
+        "simple_roots",
+        "support_columns",
+        "type",
+    ]
+    # dir(), not hasattr(): every class reaches type.__or__, the `int | str` of PEP 604
+    for name in ("__or__", "__and__", "__xor__", "__sub__"):
+        assert name not in dir(rspaces.IndexSet), name
+    assert "__contains__" not in dir(rspaces.RootSystem)

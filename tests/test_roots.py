@@ -234,7 +234,7 @@ def test_counts_and_basic_invariants(t):
     assert len(set(roots)) == len(roots)
     assert roots == tuple(sorted(roots))
     for simple in system.simple_roots:
-        assert simple in system
+        assert simple in system.positive_roots
     # highest root dominates coefficient-wise
     for root in roots:
         assert all(c <= h for c, h in zip(root, system.highest_root))
@@ -311,14 +311,14 @@ def test_build_examples_from_contract():
     assert build(rst("A", 1)).positive_roots == ((1,),)
     bc2 = build(rst("BC", 2))
     assert len(bc2.positive_roots) == 6
-    assert (0, 1) in bc2 and (0, 2) in bc2
+    assert (0, 1) in bc2.positive_roots and (0, 2) in bc2.positive_roots
     assert len(build(rst("E", 8)).positive_roots) == 120
 
 
 def test_coefficient_examples():
     assert coefficient((3, 2), 1) == 3
     b3 = build(rst("B", 3))
-    assert (1, 2, 2) in b3
+    assert (1, 2, 2) in b3.positive_roots
     assert coefficient((1, 2, 2), 3) == 2
     with pytest.raises(IndexError):
         coefficient((1, 2, 2), 4)
