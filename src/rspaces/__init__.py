@@ -6,88 +6,60 @@ maximal antipodal sets as Weyl orbits (the 2-numbers), and analyzes which
 involution subgroups already force the structure.
 """
 
-from .admissible import (
-    ClassificationReport,
-    IndexSet,
-    admissibility_witness,
-    closed_form,
-    enumerate_admissible,
-    extrinsic_symmetric_indices,
-    find_all_even_root,
-    full_set_admissible_iff_reduced,
-    is_admissible,
-    is_union_closed,
-    verify_classification,
-)
-from .antipodal import (
-    CoweightVector,
-    OrbitResult,
-    orbit,
-    reflect,
-    stabilizer_order,
-    two_number,
-    weyl_group_order,
-    xi_vector,
-)
-from .gamma import (
-    FixedRootSet,
-    GammaSubgroup,
-    fixed_root_set,
-    gamma_full,
-    is_triple,
-    minimal_triple_subgroups,
-    subgroup_span,
-    verify_maximality_proposition,
-)
-from .roots import (
-    Root,
-    RootSystem,
-    RootSystemError,
-    RootSystemType,
-    build,
-    cartan_matrix,
-    coefficient,
-    evaluate_on_xi_sum,
-    positive_root_count,
-)
-
 __version__ = "0.1.0"
 
-__all__ = [
-    "ClassificationReport",
-    "CoweightVector",
-    "FixedRootSet",
-    "GammaSubgroup",
-    "IndexSet",
-    "OrbitResult",
-    "Root",
-    "RootSystem",
-    "RootSystemError",
-    "RootSystemType",
-    "admissibility_witness",
-    "build",
-    "cartan_matrix",
-    "closed_form",
-    "coefficient",
-    "enumerate_admissible",
-    "evaluate_on_xi_sum",
-    "extrinsic_symmetric_indices",
-    "find_all_even_root",
-    "fixed_root_set",
-    "full_set_admissible_iff_reduced",
-    "gamma_full",
-    "is_admissible",
-    "is_triple",
-    "is_union_closed",
-    "minimal_triple_subgroups",
-    "orbit",
-    "positive_root_count",
-    "reflect",
-    "stabilizer_order",
-    "subgroup_span",
-    "two_number",
-    "verify_classification",
-    "verify_maximality_proposition",
-    "weyl_group_order",
-    "xi_vector",
-]
+# Every public name, once, with the module that defines it. __getattr__
+# imports that module on first use (PEP 562): `import rspaces` loads none.
+_EXPORTS = {
+    "ClassificationReport": "admissible",
+    "IndexSet": "admissible",
+    "admissibility_witness": "admissible",
+    "closed_form": "admissible",
+    "enumerate_admissible": "admissible",
+    "extrinsic_symmetric_indices": "admissible",
+    "find_all_even_root": "admissible",
+    "full_set_admissible_iff_reduced": "admissible",
+    "is_admissible": "admissible",
+    "is_union_closed": "admissible",
+    "verify_classification": "admissible",
+    "CoweightVector": "antipodal",
+    "OrbitResult": "antipodal",
+    "orbit": "antipodal",
+    "reflect": "antipodal",
+    "stabilizer_order": "antipodal",
+    "two_number": "antipodal",
+    "xi_vector": "antipodal",
+    "FixedRootSet": "gamma",
+    "GammaSubgroup": "gamma",
+    "fixed_root_set": "gamma",
+    "gamma_full": "gamma",
+    "is_triple": "gamma",
+    "minimal_triple_subgroups": "gamma",
+    "subgroup_span": "gamma",
+    "verify_maximality_proposition": "gamma",
+    "Root": "roots",
+    "RootSystem": "roots",
+    "RootSystemError": "roots",
+    "RootSystemType": "roots",
+    "build": "roots",
+    "cartan_matrix": "roots",
+    "coefficient": "roots",
+    "evaluate_on_xi_sum": "roots",
+    "positive_root_count": "roots",
+    "weyl_group_order": "roots",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    # __import__, not importlib.import_module: only the former shows in -X importtime
+    if name in _EXPORTS.values():  # the submodules roots, admissible, antipodal, gamma
+        return __import__(f"{__name__}.{name}", fromlist=[name])
+    if name in _EXPORTS:  # not cached, so a name rebound in its module is seen at once
+        return getattr(__getattr__(_EXPORTS[name]), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_EXPORTS, *_EXPORTS.values()})

@@ -35,6 +35,8 @@ class IndexSet:
     def from_iterable(cls, indices: Iterable[int]) -> "IndexSet":
         mask = 0
         for j in indices:
+            if not isinstance(j, int):  # 1.0 and "1" would fail in << or < with a TypeError
+                raise ValueError(f"index must be an int, got {j!r}")
             if j < 1:
                 raise ValueError(f"indices are 1-based, got {j}")
             mask |= 1 << (j - 1)

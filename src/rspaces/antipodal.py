@@ -377,8 +377,8 @@ def orbit(
     lexicographically sorted points as OrbitPoints (implies enumerate).
     """
     check_index_set(I, system.rank)
-    if budget <= 0:
-        raise ValueError("budget must be positive")
+    if not isinstance(budget, int) or budget <= 0:
+        raise ValueError(f"budget must be a positive int, got {budget!r}")
     w = weyl_group_order(system.type)
     stab = stabilizer_order(system, I)
     predicted, rem = divmod(w, stab)

@@ -22,12 +22,15 @@ import os
 import sys
 from dataclasses import replace
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from . import admissible as adm
-from . import antipodal as ant
-from . import gamma as gam
 from .admissible import IndexSet
 from .roots import RootSystem, RootSystemError, RootSystemType, build, standard_types, to_json
+
+if TYPE_CHECKING:  # each handler imports antipodal or gamma itself, only when it runs
+    from .antipodal import OrbitResult
+    from .gamma import GammaSubgroup
 
 FIXTURE_TYPES = tuple(
     RootSystemType(fam, rank)
@@ -117,7 +120,7 @@ def _cmd_check(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
 
 
 def _orbit_payload(
-    system: RootSystem, I: IndexSet, res: ant.OrbitResult, include_elements: bool
+    system: RootSystem, I: IndexSet, res: OrbitResult, include_elements: bool
 ) -> dict:
     admissible = adm.is_admissible(system, I)
     if not include_elements:
@@ -131,6 +134,7 @@ def _orbit_payload(
 
 
 def _cmd_two_number(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+    from . import antipodal as ant
     rst = _parse_type(parser, args.family, args.rank)
     I = _parse_set(parser, args.set, rst.rank)
     system = build(rst)
@@ -148,20 +152,22 @@ def _cmd_two_number(parser: argparse.ArgumentParser, args: argparse.Namespace) -
 
 
 def _cmd_orbit(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+    from . import antipodal as ant
     rst = _parse_type(parser, args.family, args.rank)
     I = _parse_set(parser, args.set, rst.rank)
     system = build(rst)
+    budget = args.budget or ant.DEFAULT_ORBIT_BUDGET
     want_elements = args.elements or args.dump is not None
     res = ant.orbit(
         system,
         I,
         enumerate=args.enumerate or want_elements,
         keep_elements=want_elements,
-        budget=args.budget,
+        budget=budget,
     )
     if res.budget_exceeded:
         print(
-            f"orbit size {res.size} exceeds enumeration budget {args.budget}; "
+            f"orbit size {res.size} exceeds enumeration budget {budget}; "
             "reporting the order formula only",
             file=sys.stderr,
         )
@@ -183,7 +189,8 @@ def _cmd_orbit(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
     return 0
 
 
-def _subgroup_analysis(system: RootSystem, I: IndexSet, sub: gam.GammaSubgroup) -> dict:
+def _subgroup_analysis(system: RootSystem, I: IndexSet, sub: GammaSubgroup) -> dict:
+    from . import gamma as gam
     triple = gam.is_triple(system, I, sub)
     witness = None if triple else gam.triple_witness(system, I, sub)
     return {
@@ -197,6 +204,7 @@ def _subgroup_analysis(system: RootSystem, I: IndexSet, sub: gam.GammaSubgroup) 
 
 
 def _cmd_subgroups(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+    from . import gamma as gam
     rst = _parse_type(parser, args.family, args.rank)
     if args.preset is not None:  # a-r-flag-example is --set i1,i2,i3 --gens "i1,i3;i2"
         if args.set is not None or args.gens is not None:
@@ -313,12 +321,12 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--elements", action="store_true", help="include sorted orbit points")
     p.add_argument("--dump", metavar="PATH", help="write points as little-endian int16 rows")
     # A string default is converted by type= only when orbit is parsed, so a bad
-    # environment value is a usage error of orbit alone.
+    # environment value is a usage error of orbit alone; None leaves it to _cmd_orbit.
     p.add_argument(
         "--budget",
         type=_positive_int,
-        default=os.environ.get(BUDGET_ENV_VAR) or str(ant.DEFAULT_ORBIT_BUDGET),
-        help=f"orbit element cap (default: ${BUDGET_ENV_VAR} or {ant.DEFAULT_ORBIT_BUDGET})",
+        default=os.environ.get(BUDGET_ENV_VAR) or None,
+        help=f"orbit element cap (default: ${BUDGET_ENV_VAR}, else antipodal.DEFAULT_ORBIT_BUDGET)",
     )
     p.add_argument("--strict", action="store_true", help="exit 3 when the budget is exceeded")
     p.set_defaults(fn=_cmd_orbit)
@@ -336,14 +344,15 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--fixtures-dir", help="regenerate golden files into this directory")
     p.set_defaults(fn=_cmd_verify_all)
 
+    for p in commands.choices.values():  # a handler's usage errors name its subcommand
+        p.set_defaults(parser=p)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = make_parser()
-    args = parser.parse_args(argv)
+    args = make_parser().parse_args(argv)
     try:
-        code = args.fn(parser, args)
+        code = args.fn(args.parser, args)
         sys.stdout.flush()
     except BrokenPipeError:
         # The reader is gone: point fd 1 at devnull so that the flush at

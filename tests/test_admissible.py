@@ -54,6 +54,10 @@ def test_index_set_rejects_bad_indices():
     for mask in (1.5, 2.0, np.int64(5)):
         with pytest.raises(ValueError, match="mask must be an int"):
             IndexSet(mask)
+    # and so is an index that is not an int, before it is shifted into a mask
+    for index in (1.0, "1"):
+        with pytest.raises(ValueError, match="index must be an int"):
+            IndexSet.of(index)
 
 
 # ---------------------------------------------------------------------------

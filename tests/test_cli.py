@@ -156,32 +156,49 @@ def test_closed_stdout_exits_141_quietly():
 def test_numpy_imported_only_to_enumerate():
     script = """
 import contextlib, io, sys
+import rspaces
+assert [m for m in sys.modules if m.startswith("rspaces")] == ["rspaces"]
 from rspaces.cli import main
 def run(*argv):
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(list(argv)) == 0
+def loaded(*names):
+    return [name in sys.modules for name in names]
+if sys.argv[1] == "subgroups":
+    run("subgroups", "A", "4", "--set", "1,2,3")
+    assert loaded("rspaces.antipodal", "numpy") == [False, False]
+    assert rspaces.antipodal.__name__ == "rspaces.antipodal"  # imported on first access
+    sys.exit()
 run("classify", "E", "7", "--format", "markdown")
 run("check", "BC", "3", "--set", "1,2,3")
+assert loaded("rspaces.antipodal", "rspaces.gamma") == [False, False]
 run("two-number", "A", "4", "--set", "2", "--format", "json")
-run("subgroups", "A", "4", "--set", "1,2,3")
 run("orbit", "E", "7", "--set", "1,2,3,4,5,6,7")
 run("orbit", "A", "4", "--set", "2", "--enumerate")
 run("orbit", "A", "4", "--set", "2", "--elements", "--format", "json")
 run("orbit", "F", "4", "--set", "1,2,3,4", "--elements", "--format", "json")
+assert loaded("rspaces.gamma") == [False]
+run("subgroups", "A", "4", "--set", "1,2,3")
 print("numpy" in sys.modules)
 run("orbit", "E", "6", "--set", "1,2,3,4,5,6", "--enumerate")
 print("numpy" in sys.modules, "rspaces.verify" in sys.modules)
 """
     env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
-    out = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
-    ).stdout
+
+    def fresh(part):
+        return subprocess.run(
+            [sys.executable, "-c", script, part], capture_output=True, text=True, env=env, check=True
+        ).stdout
+
+    # `import rspaces` loads no submodule, and each subcommand only the ones
+    # it runs: subgroups in a process of its own, since it loads gamma;
     # until numpy is loaded, orbits of at most COLD_ORBIT points (A4 {2} has
     # 10, F4 full 1,152, the most of any rank <= 4) are walked without it,
     # larger ones (E6 full has 51,840) with it; only verify-all loads the
     # acceptance suite
     assert 10 <= SMALL_ORBIT < 1152 <= COLD_ORBIT < 51840
-    assert out == "False\nTrue False\n"
+    assert fresh("subgroups") == ""
+    assert fresh("the rest") == "False\nTrue False\n"
 
 
 def test_orbit_budget_exceeded_not_strict(capsys):
@@ -323,7 +340,8 @@ def test_usage_errors(argv):
         capture_output=True, text=True, env=env, timeout=10,
     )
     assert proc.returncode == 2
-    assert proc.stdout == "" and "error:" in proc.stderr
+    # argparse and the handlers alike name the subcommand whose input is wrong
+    assert proc.stdout == "" and f"rspaces {argv[0]}: error:" in proc.stderr
 
 
 def test_orbit_budget_env_default(monkeypatch):

@@ -1,7 +1,9 @@
 """Every public (system, I) function rejects an empty or out-of-rank index set,
 every triple function a subgroup of another rank, reflect a vector of another
-length, and the library's orbit() ignores the CLI's budget variable."""
+length, and the library's orbit() refuses a budget that is not a positive
+int and ignores the CLI's budget variable."""
 
+import numpy as np
 import pytest
 
 from rspaces.admissible import IndexSet, admissibility_witness, closed_form, is_admissible
@@ -53,6 +55,10 @@ CASES = [
     pytest.param(lambda v: reflect(v, 1, A3), v, f"vector of length {len(v)} does not match rank 3",
                  id=f"reflect-length-{len(v)}")
     for v in ((1, 2, 3, 4), (1, 2))
+] + [
+    pytest.param(lambda b: orbit(A3, IndexSet.of(1), enumerate=True, budget=b), budget,
+                 f"budget must be a positive int, got {budget!r}", id=f"orbit-budget-{budget!r}")
+    for budget in (0, 1.5, "5", np.int64(5))
 ]
 
 
