@@ -11,11 +11,12 @@ the longest Weyl element w0 maps its level n onto level L - n as
 v -> -v[eps], eps the opposition involution of the Dynkin diagram (Humphreys,
 Reflection Groups and Coxeter Groups, 1.8).  So only levels 0 .. ceil(L/2)
 are walked with numpy; the rest are mirrors, checked where the two halves
-meet.  An orbit of at most SMALL_ORBIT points, or of at most COLD_ORBIT
-while numpy is not yet imported, is walked whole in pure Python instead,
-and numpy is never imported for it.  The size |W| / |W_J| comes first; it
-picks the walk, and the enumeration must stop within it and reach it
-exactly.
+meet.  Kept points are sorted as one packed 8-byte key a point while they
+are int8 and the rank is at most 8, and by np.lexsort otherwise.  An orbit
+of at most SMALL_ORBIT points, or of at most COLD_ORBIT while numpy is not
+yet imported, is walked whole in pure Python instead, and numpy is never
+imported for it.  The size |W| / |W_J| comes first; it picks the walk, and
+the enumeration must stop within it and reach it exactly.
 """
 
 from __future__ import annotations
@@ -292,8 +293,8 @@ def _orbit_bfs(
     meet, the walked level ceil(L/2) must have the size and the
     per-coordinate sums of the mirror of level floor(L/2), which is the same
     level when L is even: a wrong depth or involution fails there.  Kept
-    points fill one r x limit buffer, walked levels first and their mirrors
-    after, and are then sorted.
+    walked levels fill one r x limit buffer, and _sorted_points appends
+    their mirrors and sorts them.
 
     Levels are int8 when the bound of _value_bound fits and int16 otherwise;
     a mirror only negates values within it.
@@ -306,9 +307,7 @@ def _orbit_bfs(
     depth = _tree_depth(system, start)
     eps = np.array(_opposition(cartan))
     past_limit = f"orbit enumeration passed the predicted {limit} points"
-    matrix = np.array(cartan, dtype=dtype)[:, :, None]
-    # floor[k, j]: the least coordinate k of a kept child s_j v, 0 before j and no bound from j on
-    floor = np.tril(np.full((r, r), np.iinfo(dtype).min, dtype=dtype))[:, :, None]
+    matrix, floor = _walk_arrays(cartan, dtype)
     per_block = max(1, BLOCK // (r * r))
 
     def step(level: np.ndarray) -> np.ndarray:
@@ -319,8 +318,10 @@ def _orbit_bfs(
 
     def children(level: np.ndarray) -> np.ndarray:
         """The kept children of a level, block by block; the temporaries die on return."""
+        if level.shape[1] <= per_block:
+            return step(level)
         blocks = [step(level[:, i : i + per_block]) for i in range(0, level.shape[1], per_block)]
-        return blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=1)
+        return np.concatenate(blocks, axis=1)
 
     level = np.array(start, dtype=dtype).reshape(-1, 1)
     points = np.empty((r, limit), dtype=dtype) if keep_elements else None
@@ -348,14 +349,61 @@ def _orbit_bfs(
         raise AssertionError(past_limit)
     if not keep_elements:
         return sizes, None
-    # levels 0 .. floor(L/2) - 1 are the first m columns: mirror them in one
-    # block, row by row, as the sort below orders every point anyway
-    m = sum(mirrored)
+    held = [points]
+    del points  # _sorted_points frees the buffer before it allocates its result
+    return sizes, _sorted_points(held, filled, sum(mirrored), eps)
+
+
+@cache
+def _walk_arrays(cartan: tuple[tuple[int, ...], ...], dtype: type) -> tuple[np.ndarray, np.ndarray]:
+    """_orbit_bfs's read-only r x r x 1 step arrays for one Cartan matrix and level dtype.
+
+    matrix[k, j] is C[k][j]; floor[k, j], the least coordinate k of a kept
+    child s_j v, is 0 before j and the dtype's least value from j on.
+    """
+    import numpy as np
+
+    r = len(cartan)
+    matrix = np.array(cartan, dtype=dtype)[:, :, None]
+    floor = np.tril(np.full((r, r), np.iinfo(dtype).min, dtype=dtype))[:, :, None]
+    matrix.flags.writeable = floor.flags.writeable = False
+    return matrix, floor
+
+
+def _sorted_points(held: list[np.ndarray], filled: int, m: int, eps: np.ndarray) -> np.ndarray:
+    """The kept points of _orbit_bfs, mirrored and sorted, as a C-contiguous n x r int16 array.
+
+    held[0], the one reference to the r x limit buffer, is taken from `held`
+    so that it is freed before the result is allocated; its first `filled`
+    columns are the walked levels, and its first m are mirrored as -v[eps].
+    Int8 points of rank <= 8 are sorted in place as little-endian uint64 keys,
+    coordinate k in byte 7 - k with its sign bit flipped; others by np.lexsort.
+    """
+    import numpy as np
+
+    points = held.pop()
+    r = points.shape[0]
+    n = filled + m
+    if points.dtype != np.int8 or r > 8:
+        for k in range(r):
+            np.negative(points[eps[k], :m], out=points[k, filled:n])
+        points = points[:, :n]
+        points = points.take(np.lexsort(points[::-1]), axis=1)
+        return np.ascontiguousarray(points.T, dtype=np.int16)
+    keys = np.zeros((n, 8), np.int8)
+    for k in range(r):  # one 1-D column copy a coordinate: the 2-D strided copy is slower
+        keys[:filled, 7 - k] = points[k, :filled]
+        np.negative(points[eps[k], :m], out=keys[filled:, 7 - k])
+    del points
+    packed = keys.view("<u8").reshape(n)  # explicitly little-endian: the same order on any host
+    sign = np.uint64(int.from_bytes(bytes(8 - r) + b"\x80" * r, "little"))
+    packed ^= sign
+    packed.sort()
+    packed ^= sign
+    out = np.empty((n, r), np.int16)
     for k in range(r):
-        np.negative(points[eps[k], :m], out=points[k, filled : filled + m])
-    points = points[:, : filled + m]
-    points = points.take(np.lexsort(points[::-1]), axis=1)
-    return sizes, np.ascontiguousarray(points.T, dtype=np.int16)
+        out[:, k] = keys[:, 7 - k]
+    return out
 
 
 def orbit(

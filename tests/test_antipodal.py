@@ -21,7 +21,9 @@ from rspaces.antipodal import (
     _opposition,
     _orbit_bfs,
     _orbit_walk,
+    _sorted_points,
     _tree_depth,
+    _walk_arrays,
     elements_to_bytes,
     orbit,
     reflect,
@@ -319,8 +321,9 @@ def test_orbit_bfs_refuses_values_beyond_int16():
 
 
 def test_orbit_keep_elements_peak_memory():
-    # the points are sorted while still int8 and widened once, so the peak
-    # stays under twice the int16 result
+    # the int8 points are sorted as 8-byte keys, and the walk's int8 buffer is
+    # freed before the int16 result is allocated, so the peak (keys and
+    # result) stays under twice the int16 result
     system = build(rst("E", 6))
     orbit(build(rst("A", 2)), IndexSet.of(1), keep_elements=True)  # warm up
     tracemalloc.start()
@@ -331,6 +334,54 @@ def test_orbit_keep_elements_peak_memory():
         tracemalloc.stop()
     assert res.elements.array.nbytes == 51840 * 6 * 2
     assert peak <= 2 * res.elements.array.nbytes
+
+
+def lexsorted_with_mirror(buffer, filled, m, eps):
+    """The first `filled` columns and the mirror -v[eps] of the first m, sorted by np.lexsort; oracle."""
+    walked = buffer[:, :filled].astype(np.int16)
+    points = np.concatenate([walked, -walked[eps, :m]], axis=1)
+    return points[:, np.lexsort(points[::-1])].T
+
+
+@pytest.mark.parametrize(
+    "dtype, r",
+    [(np.int8, r) for r in range(1, 11)] + [(np.int16, r) for r in (1, 2, 7, 8, 9, 10)],
+)
+@pytest.mark.parametrize("filled, m", [(1, 0), (2, 1), (300, 0), (300, 299), (257, 100)])
+def test_sorted_points_match_lexsort(dtype, r, filled, m):
+    # int8 buffers of rank <= 8 are sorted as packed uint64 keys, the rest by
+    # np.lexsort: both give the oracle's bytes.  Values span the dtype's range
+    # less its least value, which a mirror could not negate; half are drawn
+    # from a few values, extremes included, so that points tie on leading
+    # coordinates; the columns past filled + m are junk the sort must ignore
+    rng = np.random.default_rng(1000 * r + filled + m)
+    top = int(np.iinfo(dtype).max)
+    shape = (r, filled + m + 5)
+    few = rng.choice([-top, -top + 1, -1, 0, 1, top - 1, top], shape)
+    buffer = np.where(rng.random(shape) < 0.5, few, rng.integers(-top, top + 1, shape))
+    buffer = buffer.astype(dtype)
+    eps = rng.permutation(r)
+    want = lexsorted_with_mirror(buffer, filled, m, eps)
+    held = [buffer]
+    got = _sorted_points(held, filled, m, eps)
+    assert held == []
+    assert got.dtype == np.int16 and got.flags.c_contiguous and got.shape == (filled + m, r)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_walk_arrays_are_cached_and_read_only():
+    cartan = build(rst("G", 2)).cartan
+    for dtype in (np.int8, np.int16):
+        matrix, floor = _walk_arrays(cartan, dtype)
+        again = _walk_arrays(cartan, dtype)
+        assert again[0] is matrix and again[1] is floor
+        assert matrix.dtype == floor.dtype == dtype
+        assert matrix[:, :, 0].tolist() == [list(row) for row in cartan]
+        assert floor[:, :, 0].tolist() == [[np.iinfo(dtype).min, 0], [np.iinfo(dtype).min] * 2]
+        for array in (matrix, floor):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, 0, 0] = 1
 
 
 @pytest.mark.parametrize(
