@@ -10,13 +10,14 @@ The tree has depth L, the number of reduced positive roots nonzero on I, and
 the longest Weyl element w0 maps its level n onto level L - n as
 v -> -v[eps], eps the opposition involution of the Dynkin diagram (Humphreys,
 Reflection Groups and Coxeter Groups, 1.8).  So only levels 0 .. ceil(L/2)
-are walked with numpy; the rest are mirrors, checked where the two halves
-meet.  Kept points are sorted as one packed 8-byte key a point while they
-are int8 and the rank is at most 8, and by np.lexsort otherwise.  An orbit
-of at most SMALL_ORBIT points, or of at most COLD_ORBIT while numpy is not
-yet imported, is walked whole in pure Python instead, and numpy is never
-imported for it.  The size |W| / |W_J| comes first; it picks the walk, and
-the enumeration must stop within it and reach it exactly.
+are walked; the rest are mirrors, checked where the two halves meet.  One
+function walks and checks that half for both steps: numpy forms a level's
+children, or pure Python does for an orbit of at most SMALL_ORBIT points,
+or of at most COLD_ORBIT while numpy is not yet imported, and numpy is then
+never imported.  Points kept by numpy are sorted as one packed 8-byte key a
+point while they are int8 and the rank is at most 8, and by np.lexsort
+otherwise.  The size |W| / |W_J| comes first; it picks the walk, and the
+enumeration must stop within it and reach it exactly.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cache, reduce
 from itertools import chain
-from operator import or_
+from operator import neg, or_
 from typing import TYPE_CHECKING
 
 from .admissible import IndexSet, check_index_set, is_admissible
@@ -41,12 +42,12 @@ CoweightVector = tuple[int, ...]
 DEFAULT_ORBIT_BUDGET = 50_000_000
 BLOCK = 1 << 17  # entries of one r x r x parents array of children in the orbit walk
 # Orbits of at most this many points are walked in pure Python, without numpy.
-# In-process that walk is the faster one below about 140 points (1.5-2.5 us a
-# point against 170-300 us a call for numpy's), and a fresh process also
-# skips numpy's import, which costs more than the whole query.
+# In-process that walk is the faster one below about 100 points (0.6-1.4 us a
+# point from 65 to 128 points, against 50-110 us a call for numpy's), and a
+# fresh process also skips numpy's import, which costs more than the query.
 SMALL_ORBIT = 128
 # Until numpy is imported, orbits of at most this many points are walked in
-# pure Python too: the walk takes about 3 ms for 2,000 points, numpy's import
+# pure Python too: the walk takes about 2 ms for 2,000 points, numpy's import
 # about 100 ms.  Every orbit of rank <= 4 (at most F4's 1,152 points) is below
 # it, so whether a fresh process loads numpy does not hang on which such
 # orbit it is asked for.
@@ -223,29 +224,70 @@ def _value_bound(system: RootSystem, start: CoweightVector) -> int:
     return bound
 
 
+def _half_tree(system: RootSystem, level, children, sums, limit: int, keep: bool) -> tuple:
+    """Walk the orbit tree of a dominant start half way: level sizes, walked levels, eps.
+
+    The orbit is a tree rooted at the dominant point: every other point u has
+    exactly one parent s_k u, where k is the least index with u_k < 0.  So
+    from v the child s_j v is kept only if v_j > 0 and the child's coordinates
+    before j are all >= 0.  Level n holds the minimal coset representatives of
+    length n, and no point is produced twice.  A level holds one row per
+    coordinate, so len(level[0]) is its size; `level` is level 0, the start
+    point, `children` maps a level to the next and `sums` to its row sums.
+    `limit` is the predicted orbit size: passing it means the rule is wrong.
+
+    The longest element w0 maps level n onto level L - n as v -> -v[eps], the
+    depth L from the roots (_tree_depth), eps the opposition involution
+    (_opposition).  So levels 0 .. ceil(L/2) are walked, and each level L - n
+    with n < floor(L/2) is the mirror of level n.  The walked level ceil(L/2)
+    must have the size and row sums of the mirror of level floor(L/2), the
+    same level when L is even: a wrong depth or involution fails at this seam.
+    Only the current level and the next are held unless `keep`; then the
+    walked levels are returned, and the caller mirrors the first
+    len(sizes) - len(walked) of them.
+    """
+    depth, eps = _tree_depth(system, [row[0] for row in level]), _opposition(system.cartan)
+    past_limit = f"orbit enumeration passed the predicted {limit} points"
+    sizes, walked = [], []
+    while True:
+        sizes.append(n := len(level[0]))
+        if sum(sizes) > limit:
+            raise AssertionError(past_limit)
+        if keep:
+            walked.append(level)
+        if len(sizes) == depth // 2 + 1:  # level floor(L/2): its mirror is level ceil(L/2)
+            seam_n, seam_sums = n, sums(level)
+        if len(sizes) > (depth + 1) // 2:
+            break
+        level = children(level)
+    if seam_n != n or [-seam_sums[e] for e in eps] != sums(level):
+        raise AssertionError(f"{system.type}: the walked half of depth {depth} misses its mirror")
+    sizes += reversed(sizes[: depth // 2])
+    if sum(sizes) > limit:
+        raise AssertionError(past_limit)
+    return sizes, walked, eps
+
+
 def _orbit_walk(
     system: RootSystem, start: CoweightVector, limit: int, keep_elements: bool
 ) -> tuple[list[int], memoryview | None]:
-    """The orbit tree of _orbit_bfs, every level walked in pure Python.
+    """The _half_tree walk stepped in pure Python: its level sizes, and optionally its points.
 
-    The child s_j v is kept when v_j > 0 and v_k >= C[k][j] * v_j for every
-    k < j (its coordinates before j are >= 0), which is tested before it is
-    formed; forming it changes only j and its Dynkin neighbours.  There is
-    no mirror, so no seam.  Kept points are sorted and packed as a read-only
-    n x r memoryview of native int16.
+    A level is a tuple of r coordinate tuples.  The child s_j v is kept when
+    v_j > 0 and v_k >= C[k][j] * v_j for every k < j (its coordinates before j
+    are >= 0), which is tested before it is formed; forming it changes only j
+    and its Dynkin neighbours.  A mirror negates the coordinate tuples of eps
+    in turn.  Kept points are sorted and packed as a read-only n x r
+    memoryview of native int16.
     """
     _value_bound(system, start)
     cartan, r = system.cartan, system.rank
     below = [[(k, cartan[k][j]) for k in range(j)] for j in range(r)]
     touched = [[(k, row[j]) for k, row in enumerate(cartan) if row[j]] for j in range(r)]
-    level, sizes, points = [start], [], []
-    while level:
-        if len(points) + len(level) > limit:
-            raise AssertionError(f"orbit enumeration passed the predicted {limit} points")
-        sizes.append(len(level))
-        points += level
-        children = []
-        for v in level:
+
+    def children(level: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
+        out = []
+        for v in zip(*level):
             for j, vj in enumerate(v):
                 if vj <= 0:
                     continue
@@ -256,11 +298,16 @@ def _orbit_walk(
                     w = list(v)
                     for k, c in touched[j]:
                         w[k] -= c * vj
-                    children.append(tuple(w))
-        level = children
+                    out.append(tuple(w))
+        return tuple(zip(*out)) or ((),) * r
+
+    sums = lambda level: list(map(sum, level))
+    sizes, walked, eps = _half_tree(system, tuple(zip(start)), children, sums, limit, keep_elements)
     if not keep_elements:
         return sizes, None
-    points.sort()
+    for level in walked[: len(sizes) - len(walked)]:
+        walked.append([map(neg, level[e]) for e in eps])  # read once, by zip below
+    points = sorted(chain.from_iterable(zip(*level) for level in walked))
     packed = struct.pack(f"{len(points) * r}h", *chain.from_iterable(points))
     return sizes, memoryview(packed).cast("h", (len(points), r))
 
@@ -268,45 +315,23 @@ def _orbit_walk(
 def _orbit_bfs(
     system: RootSystem, start: CoweightVector, limit: int, keep_elements: bool
 ) -> tuple[list[int], np.ndarray | None]:
-    """Level sizes of the orbit of a dominant start; optionally all its points.
+    """The _half_tree walk stepped by numpy: its level sizes, and optionally its points.
 
-    The orbit is a tree rooted at the dominant point: every other point u has
-    exactly one parent s_k u, where k is the least index with u_k < 0.  So
-    from v the child s_j v is kept only if v_j > 0 and the child's
-    coordinates before j are all >= 0.  A step forms every child of a block
-    of parents at once, as the r x r x nb array of (s_j v)_k indexed
-    [k, j, parent], and keeps s_j v where v_j > 0 and no entry of column
-    [:, j] lies below floor[:, j]: 0 before j, the dtype's least value from j
-    on.  So a step is a fixed handful of array calls whatever the rank.  A
-    level of more than BLOCK // r^2 parents is cut into blocks, which bounds
-    the temporaries, and their children are concatenated.  Level n holds
-    the minimal coset representatives of length n, stored rank-major (one row
-    per coordinate), no point is produced twice, and only the current level
-    and the next are held unless the points are kept.  `limit` is the
-    predicted orbit size: passing it means the rule is wrong.
-
-    Only half of the tree is walked.  The longest element w0 maps level n
-    onto level L - n as v -> -v[eps], where the depth L comes from the roots
-    (_tree_depth) and eps is the opposition involution (_opposition).  So
-    levels 0 .. ceil(L/2) are walked, and each level L - n with
-    n < floor(L/2) is written as the mirror of level n.  Where the halves
-    meet, the walked level ceil(L/2) must have the size and the
-    per-coordinate sums of the mirror of level floor(L/2), which is the same
-    level when L is even: a wrong depth or involution fails there.  Kept
-    walked levels fill one r x limit buffer, and _sorted_points appends
-    their mirrors and sorts them.
+    A step forms every child of a block of parents at once, as the r x r x nb
+    array of (s_j v)_k indexed [k, j, parent], and keeps s_j v where v_j > 0
+    and no entry of column [:, j] lies below floor[:, j]: 0 before j, the
+    dtype's least value from j on.  So a step is a fixed handful of array
+    calls whatever the rank.  A level of more than BLOCK // r^2 parents is cut
+    into blocks, which bounds the temporaries, and their children are
+    concatenated.  _sorted_points mirrors and sorts the kept walked levels.
 
     Levels are int8 when the bound of _value_bound fits and int16 otherwise;
     a mirror only negates values within it.
     """
     import numpy as np
 
-    cartan = system.cartan
-    r = system.rank
+    cartan, r = system.cartan, system.rank
     dtype = np.int8 if _value_bound(system, start) <= np.iinfo(np.int8).max else np.int16
-    depth = _tree_depth(system, start)
-    eps = np.array(_opposition(cartan))
-    past_limit = f"orbit enumeration passed the predicted {limit} points"
     matrix, floor = _walk_arrays(cartan, dtype)
     per_block = max(1, BLOCK // (r * r))
 
@@ -323,35 +348,11 @@ def _orbit_bfs(
         blocks = [step(level[:, i : i + per_block]) for i in range(0, level.shape[1], per_block)]
         return np.concatenate(blocks, axis=1)
 
-    level = np.array(start, dtype=dtype).reshape(-1, 1)
-    points = np.empty((r, limit), dtype=dtype) if keep_elements else None
-    sizes: list[int] = []
-    filled = 0  # points so far, and the next free column of points
-    while True:
-        n = level.shape[1]
-        if filled + n > limit:
-            raise AssertionError(past_limit)
-        if keep_elements:
-            points[:, filled : filled + n] = level
-        filled += n
-        sizes.append(n)
-        if len(sizes) == depth // 2 + 1:  # level floor(L/2): its mirror is level ceil(L/2)
-            seam_n, seam_sums = n, -level.sum(axis=1)[eps]
-        if len(sizes) > (depth + 1) // 2:
-            break
-        level = children(level)
-    if seam_n != n or (level.sum(axis=1) != seam_sums).any():
-        raise AssertionError(f"{system.type}: the walked half of depth {depth} misses its mirror")
-    del level  # a kept level is copied into points: free the widest one before the sort
-    mirrored = sizes[: depth // 2]
-    sizes += reversed(mirrored)
-    if sum(sizes) > limit:
-        raise AssertionError(past_limit)
-    if not keep_elements:
-        return sizes, None
-    held = [points]
-    del points  # _sorted_points frees the buffer before it allocates its result
-    return sizes, _sorted_points(held, filled, sum(mirrored), eps)
+    sums = lambda level: level.sum(axis=1).tolist()
+    first = np.array(start, dtype=dtype).reshape(-1, 1)
+    sizes, walked, eps = _half_tree(system, first, children, sums, limit, keep_elements)
+    points = _sorted_points(walked, sum(sizes[len(walked) :]), eps) if keep_elements else None
+    return sizes, points
 
 
 @cache
@@ -370,37 +371,35 @@ def _walk_arrays(cartan: tuple[tuple[int, ...], ...], dtype: type) -> tuple[np.n
     return matrix, floor
 
 
-def _sorted_points(held: list[np.ndarray], filled: int, m: int, eps: np.ndarray) -> np.ndarray:
-    """The kept points of _orbit_bfs, mirrored and sorted, as a C-contiguous n x r int16 array.
+def _sorted_points(levels: list[np.ndarray], m: int, eps: Sequence[int]) -> np.ndarray:
+    """The kept levels of _orbit_bfs, mirrored and sorted, as a C-contiguous n x r int16 array.
 
-    held[0], the one reference to the r x limit buffer, is taken from `held`
-    so that it is freed before the result is allocated; its first `filled`
-    columns are the walked levels, and its first m are mirrored as -v[eps].
-    Int8 points of rank <= 8 are sorted in place as little-endian uint64 keys,
+    The walked levels are joined and taken from `levels`, which holds the
+    only references to them, so that they are freed before the result is
+    allocated; the first m joined points are mirrored as -v[eps].  Int8
+    points of rank <= 8 are sorted in place as little-endian uint64 keys,
     coordinate k in byte 7 - k with its sign bit flipped; others by np.lexsort.
     """
     import numpy as np
 
-    points = held.pop()
-    r = points.shape[0]
-    n = filled + m
+    points = np.concatenate(levels, axis=1)
+    levels.clear()
+    r, filled = points.shape
     if points.dtype != np.int8 or r > 8:
-        for k in range(r):
-            np.negative(points[eps[k], :m], out=points[k, filled:n])
-        points = points[:, :n]
+        points = np.concatenate([points, -points[list(eps), :m]], axis=1)
         points = points.take(np.lexsort(points[::-1]), axis=1)
         return np.ascontiguousarray(points.T, dtype=np.int16)
-    keys = np.zeros((n, 8), np.int8)
+    keys = np.zeros((filled + m, 8), np.int8)
     for k in range(r):  # one 1-D column copy a coordinate: the 2-D strided copy is slower
-        keys[:filled, 7 - k] = points[k, :filled]
+        keys[:filled, 7 - k] = points[k]
         np.negative(points[eps[k], :m], out=keys[filled:, 7 - k])
     del points
-    packed = keys.view("<u8").reshape(n)  # explicitly little-endian: the same order on any host
+    packed = keys.view("<u8").reshape(-1)  # explicitly little-endian: the same order on any host
     sign = np.uint64(int.from_bytes(bytes(8 - r) + b"\x80" * r, "little"))
     packed ^= sign
     packed.sort()
     packed ^= sign
-    out = np.empty((n, r), np.int16)
+    out = np.empty((len(keys), r), np.int16)
     for k in range(r):
         out[:, k] = keys[:, 7 - k]
     return out

@@ -321,11 +321,12 @@ def test_orbit_bfs_refuses_values_beyond_int16():
 
 
 def test_orbit_keep_elements_peak_memory():
-    # the int8 points are sorted as 8-byte keys, and the walk's int8 buffer is
+    # the int8 points are sorted as 8-byte keys, and the walked int8 levels are
     # freed before the int16 result is allocated, so the peak (keys and
-    # result) stays under twice the int16 result
+    # result) stays under twice the int16 result.  The warm-up, E6 {1,6}, is
+    # above SMALL_ORBIT, so it runs the numpy walk and fills its caches
     system = build(rst("E", 6))
-    orbit(build(rst("A", 2)), IndexSet.of(1), keep_elements=True)  # warm up
+    assert orbit(system, IndexSet.of(1, 6), keep_elements=True).size == 270 > SMALL_ORBIT
     tracemalloc.start()
     try:
         res = orbit(system, IndexSet.full(6), keep_elements=True)
@@ -336,9 +337,9 @@ def test_orbit_keep_elements_peak_memory():
     assert peak <= 2 * res.elements.array.nbytes
 
 
-def lexsorted_with_mirror(buffer, filled, m, eps):
-    """The first `filled` columns and the mirror -v[eps] of the first m, sorted by np.lexsort; oracle."""
-    walked = buffer[:, :filled].astype(np.int16)
+def lexsorted_with_mirror(buffer, m, eps):
+    """The columns and the mirror -v[eps] of the first m, sorted by np.lexsort; oracle."""
+    walked = buffer.astype(np.int16)
     points = np.concatenate([walked, -walked[eps, :m]], axis=1)
     return points[:, np.lexsort(points[::-1])].T
 
@@ -353,18 +354,21 @@ def test_sorted_points_match_lexsort(dtype, r, filled, m):
     # np.lexsort: both give the oracle's bytes.  Values span the dtype's range
     # less its least value, which a mirror could not negate; half are drawn
     # from a few values, extremes included, so that points tie on leading
-    # coordinates; the columns past filled + m are junk the sort must ignore
+    # coordinates.  The walked points come split into up to four levels,
+    # which the sort joins and takes from their list
     rng = np.random.default_rng(1000 * r + filled + m)
     top = int(np.iinfo(dtype).max)
-    shape = (r, filled + m + 5)
+    shape = (r, filled)
     few = rng.choice([-top, -top + 1, -1, 0, 1, top - 1, top], shape)
     buffer = np.where(rng.random(shape) < 0.5, few, rng.integers(-top, top + 1, shape))
     buffer = buffer.astype(dtype)
     eps = rng.permutation(r)
-    want = lexsorted_with_mirror(buffer, filled, m, eps)
-    held = [buffer]
-    got = _sorted_points(held, filled, m, eps)
-    assert held == []
+    want = lexsorted_with_mirror(buffer, m, eps)
+    cuts = np.sort(rng.choice(np.arange(1, filled), min(3, filled - 1), replace=False))
+    levels = np.split(buffer, cuts, axis=1)
+    assert len(levels) == min(4, filled) and sum(level.shape[1] for level in levels) == filled
+    got = _sorted_points(levels, m, eps)
+    assert levels == []
     assert got.dtype == np.int16 and got.flags.c_contiguous and got.shape == (filled + m, r)
     assert got.tobytes() == want.tobytes()
 
@@ -406,9 +410,10 @@ def test_orbit_blocks_leave_levels_and_points_unchanged(monkeypatch, fam, r, I):
 
 def test_orbit_size_only_peak_memory():
     # children are formed a block of parents at a time, so besides the level
-    # and its children the walk holds only block-sized temporaries
+    # and its children the walk holds only block-sized temporaries.  The
+    # warm-up, E7 {1,7}, is above SMALL_ORBIT, so it runs the numpy walk
     system = build(rst("E", 7))
-    orbit(build(rst("A", 2)), IndexSet.of(1), enumerate=True)  # warm up
+    assert orbit(system, IndexSet.of(1, 7), enumerate=True).size == 1512 > SMALL_ORBIT
     tracemalloc.start()
     try:
         res = orbit(system, IndexSet.full(7), enumerate=True)
@@ -560,17 +565,6 @@ def test_orbit_walk_matches_naive_bfs(fam, r):
         assert list(OrbitPoints(points)) == sorted(set().union(*levels))
 
 
-@pytest.mark.parametrize("keep", [False, True])
-def test_orbit_walk_stops_past_its_limit(keep):
-    # A8 {1} has 9 points, one per level: the walk stops at the level that passes the limit
-    system, start = build(rst("A", 8)), xi_vector(IndexSet.of(1), 8)
-    for limit in (4, 8):
-        with pytest.raises(AssertionError, match=f"passed the predicted {limit} points"):
-            _orbit_walk(system, start, limit, keep_elements=keep)
-    sizes, points = _orbit_walk(system, start, 20, keep_elements=keep)
-    assert sizes == [1] * 9 and (points is None or points.shape == (9, 8))
-
-
 # ---------------------------------------------------------------------------
 # the mirror: w0 maps tree level n onto level L - n as v -> -v[eps]
 
@@ -605,25 +599,29 @@ def test_tree_depth_counts_the_moving_roots():
 
 def test_seam_check_catches_an_identity_opposition(monkeypatch):
     # eps reverses A8, so {1} is not fixed: mirroring by the identity fails at
-    # the seam.  The orbit has 9 points, so orbit() walks it without a mirror:
-    # the numpy walk, where the seam is, is called directly.
+    # the seam.  Both walks share the half tree and its seam check, so each is
+    # called directly, keeping its points or not.
     system, I = build(rst("A", 8)), IndexSet.of(1)
     monkeypatch.setattr(antipodal, "_opposition", lambda cartan: tuple(range(len(cartan))))
-    with pytest.raises(AssertionError, match="misses its mirror"):
-        _orbit_bfs(system, xi_vector(I, 8), orbit(system, I).size, keep_elements=False)
+    for walk in (_orbit_walk, _orbit_bfs):
+        for keep in (False, True):
+            with pytest.raises(AssertionError, match="misses its mirror"):
+                walk(system, xi_vector(I, 8), orbit(system, I).size, keep_elements=keep)
 
 
 @pytest.mark.parametrize("keep", [False, True])
 @pytest.mark.parametrize("limit", [4, 6, 8])
 def test_orbit_bfs_stops_past_its_limit(keep, limit):
     # A8 {1} has 9 points, one per level 0..8, of which levels 0..4 are walked:
-    # a limit of 4 is passed in the walk, 6 and 8 only by the mirrored levels
-    system = build(rst("A", 8))
-    with pytest.raises(AssertionError, match=f"passed the predicted {limit} points"):
-        _orbit_bfs(system, xi_vector(IndexSet.of(1), 8), limit, keep_elements=keep)
-    # a limit above the size bounds the walk and the buffer, and no more
-    sizes, points = _orbit_bfs(system, xi_vector(IndexSet.of(1), 8), 20, keep_elements=keep)
-    assert sizes == [1] * 9 and (points is None or points.shape == (9, 8))
+    # a limit of 4 is passed in the walk, 6 and 8 only by the mirrored levels,
+    # in the pure-Python walk as in the numpy one
+    system, start = build(rst("A", 8)), xi_vector(IndexSet.of(1), 8)
+    for walk in (_orbit_walk, _orbit_bfs):
+        with pytest.raises(AssertionError, match=f"passed the predicted {limit} points"):
+            walk(system, start, limit, keep_elements=keep)
+        # a limit above the size bounds the walk, and no more
+        sizes, points = walk(system, start, 20, keep_elements=keep)
+        assert sizes == [1] * 9 and (points is None or points.shape == (9, 8))
 
 
 @pytest.mark.parametrize("fam,r,I,depth", [("D", 7, (6,), 21), ("E", 6, (1, 3), 26)])
@@ -632,9 +630,11 @@ def test_seam_check_catches_a_wrong_depth(monkeypatch, fam, r, I, depth, off):
     system, I = build(rst(fam, r)), IndexSet.of(*I)
     assert _tree_depth(system, xi_vector(I, r)) == depth
     monkeypatch.setattr(antipodal, "_tree_depth", lambda system, start: depth + off)
-    # D7 {6} has 64 points, which orbit() walks without numpy or a seam
-    with pytest.raises(AssertionError, match="misses its mirror"):
-        _orbit_bfs(system, xi_vector(I, r), orbit(system, I).size, keep_elements=False)
+    # D7 {6} has 64 points, which orbit() walks in pure Python, E6 {1,3} 432,
+    # which it walks with numpy: both walks check the same seam
+    for walk in (_orbit_walk, _orbit_bfs):
+        with pytest.raises(AssertionError, match="misses its mirror"):
+            walk(system, xi_vector(I, r), orbit(system, I).size, keep_elements=False)
 
 
 def test_stabilizer_matches_naive_orbit_quotient():
