@@ -12,12 +12,12 @@ v -> -v[eps], eps the opposition involution of the Dynkin diagram (Humphreys,
 Reflection Groups and Coxeter Groups, 1.8).  So only levels 0 .. ceil(L/2)
 are walked; the rest are mirrors, checked where the two halves meet.  One
 function walks and checks that half for both steps: numpy forms a level's
-children, or pure Python does for an orbit of at most SMALL_ORBIT points,
-or of at most COLD_ORBIT while numpy is not yet imported, and numpy is then
-never imported.  Points kept by numpy are sorted as one packed 8-byte key a
-point while they are int8 and the rank is at most 8, and by np.lexsort
-otherwise.  The size |W| / |W_J| comes first; it picks the walk, and the
-enumeration must stop within it and reach it exactly.
+children, or pure Python does while numpy is not yet imported and the orbit
+has at most COLD_ORBIT points, and numpy is then never imported.  Points
+kept by numpy are sorted as one packed 8-byte key a point while they are
+int8 and the rank is at most 8, and by np.lexsort otherwise.  The size
+|W| / |W_J| comes first; it picks the walk, and the enumeration must stop
+within it and reach it exactly.
 """
 
 from __future__ import annotations
@@ -41,16 +41,11 @@ CoweightVector = tuple[int, ...]
 
 DEFAULT_ORBIT_BUDGET = 50_000_000
 BLOCK = 1 << 17  # entries of one r x r x parents array of children in the orbit walk
-# Orbits of at most this many points are walked in pure Python, without numpy.
-# In-process that walk is the faster one below about 100 points (0.6-1.4 us a
-# point from 65 to 128 points, against 50-110 us a call for numpy's), and a
-# fresh process also skips numpy's import, which costs more than the query.
-SMALL_ORBIT = 128
 # Until numpy is imported, orbits of at most this many points are walked in
-# pure Python too: the walk takes about 2 ms for 2,000 points, numpy's import
-# about 100 ms.  Every orbit of rank <= 4 (at most F4's 1,152 points) is below
-# it, so whether a fresh process loads numpy does not hang on which such
-# orbit it is asked for.
+# pure Python, without it: the walk takes about 2 ms for 2,000 points, numpy's
+# import about 100 ms.  Every orbit of rank <= 4 (at most F4's 1,152 points)
+# is below it, so whether a fresh process loads numpy does not hang on which
+# such orbit it is asked for.
 COLD_ORBIT = 2_000
 
 
@@ -317,13 +312,14 @@ def _orbit_bfs(
 ) -> tuple[list[int], np.ndarray | None]:
     """The _half_tree walk stepped by numpy: its level sizes, and optionally its points.
 
-    A step forms every child of a block of parents at once, as the r x r x nb
-    array of (s_j v)_k indexed [k, j, parent], and keeps s_j v where v_j > 0
-    and no entry of column [:, j] lies below floor[:, j]: 0 before j, the
-    dtype's least value from j on.  So a step is a fixed handful of array
-    calls whatever the rank.  A level of more than BLOCK // r^2 parents is cut
-    into blocks, which bounds the temporaries, and their children are
-    concatenated.  _sorted_points mirrors and sorts the kept walked levels.
+    A step forms every child of a block of parents at once, in one r x r x nb
+    array of (s_j v)_k indexed [k, j, parent], and one compress keeps s_j v
+    where v_j > 0 and no entry of column [:, j] lies below floor[:, j]: 0
+    before j, the dtype's least value from j on.  So a step is a fixed
+    handful of array calls whatever the rank.  A level of more than
+    BLOCK // r^2 parents is cut into blocks, which bounds the temporaries,
+    and their children are concatenated.  _sorted_points mirrors and sorts
+    the kept walked levels.
 
     Levels are int8 when the bound of _value_bound fits and int16 otherwise;
     a mirror only negates values within it.
@@ -337,9 +333,11 @@ def _orbit_bfs(
 
     def step(level: np.ndarray) -> np.ndarray:
         """The kept children of a block of parents, by j and then by parent."""
-        every = level[:, None, :] - matrix * level[None, :, :]  # [k, j, p]: (s_j v_p)_k
-        keep = (level > 0) & (every >= floor).all(axis=0)
-        return every.reshape(r, -1).take(np.flatnonzero(keep), axis=1)
+        every = matrix * level
+        np.subtract(level[:, None, :], every, out=every)  # [k, j, p]: (s_j v_p)_k
+        keep = np.logical_and.reduce(every >= floor, axis=0)
+        keep &= level > 0
+        return every.reshape(r, -1).compress(keep.ravel(), axis=1)
 
     def children(level: np.ndarray) -> np.ndarray:
         """The kept children of a level, block by block; the temporaries die on return."""
@@ -418,9 +416,9 @@ def orbit(
     |W| / |stabilizer|.  The budget caps the orbit's total points and is
     compared with that quotient before any enumeration: larger orbits fall
     back to the formula with budget_exceeded set.  The quotient also picks
-    the walk: the pure-Python _orbit_walk up to SMALL_ORBIT points, or up to
-    COLD_ORBIT while numpy is not yet imported, which leaves numpy
-    unimported; the numpy _orbit_bfs above.  keep_elements keeps the
+    the walk: the pure-Python _orbit_walk, which leaves numpy unimported,
+    while numpy is not yet imported and the orbit has at most COLD_ORBIT
+    points; the numpy _orbit_bfs otherwise.  keep_elements keeps the
     lexicographically sorted points as OrbitPoints (implies enumerate).
     """
     check_index_set(I, system.rank)
@@ -436,8 +434,7 @@ def orbit(
         return OrbitResult(predicted, w, stab, "order_formula")
     if predicted > budget:
         return OrbitResult(predicted, w, stab, "order_formula", budget_exceeded=True)
-    small = SMALL_ORBIT if "numpy" in sys.modules else COLD_ORBIT
-    walk = _orbit_walk if predicted <= small else _orbit_bfs
+    walk = _orbit_walk if "numpy" not in sys.modules and predicted <= COLD_ORBIT else _orbit_bfs
     sizes, points = walk(system, xi_vector(I, system.rank), predicted, keep_elements)
     size = sum(sizes)
     if size != predicted:

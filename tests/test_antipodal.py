@@ -13,11 +13,10 @@ import numpy as np
 import pytest
 
 from rspaces import antipodal
-from rspaces.admissible import IndexSet, enumerate_admissible
+from rspaces.admissible import IndexSet, enumerate_admissible, is_admissible
 from rspaces.antipodal import (
     DEFAULT_ORBIT_BUDGET,
     OrbitPoints,
-    SMALL_ORBIT,
     _opposition,
     _orbit_bfs,
     _orbit_walk,
@@ -323,10 +322,10 @@ def test_orbit_bfs_refuses_values_beyond_int16():
 def test_orbit_keep_elements_peak_memory():
     # the int8 points are sorted as 8-byte keys, and the walked int8 levels are
     # freed before the int16 result is allocated, so the peak (keys and
-    # result) stays under twice the int16 result.  The warm-up, E6 {1,6}, is
-    # above SMALL_ORBIT, so it runs the numpy walk and fills its caches
+    # result) stays under twice the int16 result.  The warm-up, E6 {1,6}, runs
+    # the numpy walk, numpy being loaded, and fills its caches
     system = build(rst("E", 6))
-    assert orbit(system, IndexSet.of(1, 6), keep_elements=True).size == 270 > SMALL_ORBIT
+    assert orbit(system, IndexSet.of(1, 6), keep_elements=True).size == 270
     tracemalloc.start()
     try:
         res = orbit(system, IndexSet.full(6), keep_elements=True)
@@ -411,9 +410,9 @@ def test_orbit_blocks_leave_levels_and_points_unchanged(monkeypatch, fam, r, I):
 def test_orbit_size_only_peak_memory():
     # children are formed a block of parents at a time, so besides the level
     # and its children the walk holds only block-sized temporaries.  The
-    # warm-up, E7 {1,7}, is above SMALL_ORBIT, so it runs the numpy walk
+    # warm-up, E7 {1,7}, runs the numpy walk, numpy being loaded
     system = build(rst("E", 7))
-    assert orbit(system, IndexSet.of(1, 7), enumerate=True).size == 1512 > SMALL_ORBIT
+    assert orbit(system, IndexSet.of(1, 7), enumerate=True).size == 1512
     tracemalloc.start()
     try:
         res = orbit(system, IndexSet.full(7), enumerate=True)
@@ -535,7 +534,7 @@ def test_orbit_bfs_matches_tree_rule_oracle(fam, r):
 
 @pytest.mark.parametrize("fam,r", POINCARE_TYPES)
 def test_orbit_walk_matches_orbit_bfs(fam, r):
-    # the pure-Python walk, called whatever SMALL_ORBIT is, gives the numpy
+    # the pure-Python walk, called directly with numpy loaded, gives the numpy
     # walk's level sizes and point bytes on every orbit of up to 2,000 points
     system = build(rst(fam, r))
     for m in range(1, 1 << r):
@@ -630,8 +629,8 @@ def test_seam_check_catches_a_wrong_depth(monkeypatch, fam, r, I, depth, off):
     system, I = build(rst(fam, r)), IndexSet.of(*I)
     assert _tree_depth(system, xi_vector(I, r)) == depth
     monkeypatch.setattr(antipodal, "_tree_depth", lambda system, start: depth + off)
-    # D7 {6} has 64 points, which orbit() walks in pure Python, E6 {1,3} 432,
-    # which it walks with numpy: both walks check the same seam
+    # D7 {6} has 64 points and E6 {1,3} 432: both walks, each called
+    # directly, check the same seam
     for walk in (_orbit_walk, _orbit_bfs):
         with pytest.raises(AssertionError, match="misses its mirror"):
             walk(system, xi_vector(I, r), orbit(system, I).size, keep_elements=False)
@@ -663,6 +662,114 @@ def test_two_number_binomials():
         system = build(rst("A", n - 1))
         for k in range(1, n):
             assert two_number(system, IndexSet.of(k)) == math.comb(n, k)
+
+
+def test_two_number_multinomials_through_a12():
+    # every I of A_n is admissible, and X_I is a partial flag manifold whose
+    # 2-number is (n+1)! / prod d_i!, the d_i the gaps of 0 < I < n+1
+    # (Chen and Nagano 1988; Takeuchi 1989)
+    sets = 0
+    for n in range(1, 13):
+        system = build(rst("A", n))
+        for m in range(1, 1 << n):
+            cuts = [0, *IndexSet(m), n + 1]
+            gaps = [b - a for a, b in zip(cuts, cuts[1:])]
+            want = math.factorial(n + 1) // math.prod(map(math.factorial, gaps))
+            assert two_number(system, IndexSet(m)) == want
+            sets += 1
+    assert sets == 8178
+
+
+# seeded ranks for the |I| = 1 closed forms; only D also runs at rank 64
+CLOSED_FORM_RANKS = (4, *sorted(random.Random(30).sample(range(5, 41), 3)))
+
+
+@pytest.mark.parametrize(
+    "fam, n", [(fam, n) for fam in "BCD" for n in CLOSED_FORM_RANKS] + [("D", 64)]
+)
+def test_two_number_closed_forms_of_one_node(fam, n):
+    # the symmetric R-spaces with |I| = 1 outside A (Chen and Nagano 1988;
+    # Takeuchi 1989): quadrics B_n {1} and D_n {1}, the Lagrangian
+    # Grassmannian C_n {n} and the spinor varieties D_n {n-1} and {n}
+    want = {
+        "B": {1: 2 * n},
+        "C": {n: 2**n},
+        "D": {1: 2 * n, n - 1: 2 ** (n - 1), n: 2 ** (n - 1)},
+    }[fam]
+    system = build(rst(fam, n))
+    assert {i: two_number(system, IndexSet.of(i)) for i in want} == want
+
+
+def test_two_number_closed_forms_of_the_exceptional_types():
+    e6 = build(rst("E", 6))
+    assert two_number(e6, IndexSet.of(1)) == two_number(e6, IndexSet.of(6)) == 27
+    assert two_number(build(rst("E", 7)), IndexSet.of(7)) == 56
+
+
+def subdiagram_type(cartan, component):
+    """The type of a connected Dynkin subdiagram, given by 0-based nodes; oracle.
+
+    It reads only the component's size, its bonds C[k][j] * C[j][k] (1 single,
+    2 double, 3 triple) and, for a simply laced branch, its arm lengths.  B and
+    C have the same Weyl group, so a double bond's direction is not read.
+    """
+    n = len(component)
+    near = {k: [j for j in component if j != k and cartan[k][j]] for k in component}
+    bonds = {k: {cartan[k][j] * cartan[j][k] for j in near[k]} for k in component}
+    if any(3 in b for b in bonds.values()):
+        return rst("G", 2)
+    if any(2 in b for b in bonds.values()):
+        # F4 is the 4-chain whose double bond joins its two middle nodes
+        interior = all(len(near[k]) == 2 for k in component if 2 in bonds[k])
+        return rst("F", 4) if n == 4 and interior else rst("B", n)
+    branch = [k for k in component if len(near[k]) == 3]
+    if not branch:
+        return rst("A", n)
+    arms = []
+    for j in near[branch[0]]:
+        back, length = branch[0], 1
+        while nxt := [i for i in near[j] if i != back]:
+            back, j, length = j, nxt[0], length + 1
+        arms.append(length)
+    arms.sort()
+    if arms[:2] == [1, 1]:
+        return rst("D", n)
+    assert arms[:2] == [1, 2], arms
+    return rst("E", n)
+
+
+def subdiagram_weyl_order(cartan, nodes):
+    """The product of the Weyl group orders of the components on nodes (0-based); oracle."""
+    order, left = 1, set(nodes)
+    while left:
+        component, todo = set(), [left.pop()]
+        while todo:
+            component.add(k := todo.pop())
+            todo += [j for j in left if cartan[k][j]]
+            left.difference_update(todo)
+        order *= weyl_group_order(subdiagram_type(cartan, sorted(component)))
+    return order
+
+
+def test_stabilizer_and_two_number_by_subdiagram_products():
+    # W_J is the product of the Weyl groups of the components of the Dynkin
+    # subdiagram on J, the complement of I: typed by size, bonds and arms, it
+    # gives stabilizer_order on every I of the 40 standard types, |W| / |W_J|
+    # the 2-number on the admissible ones, and on the whole diagram |W|
+    sets = admissible = 0
+    for t in standard_types():
+        system, r = build(t), t.rank
+        w = weyl_group_order(t)
+        assert subdiagram_weyl_order(system.cartan, range(r)) == w
+        for m in range(1, 1 << r):
+            I = IndexSet(m)
+            order = subdiagram_weyl_order(system.cartan, [k for k in range(r) if not m >> k & 1])
+            assert stabilizer_order(system, I) == order, (t, I)
+            if is_admissible(system, I):
+                assert two_number(system, I) == w // order, (t, I)
+                admissible += 1
+            sets += 1
+    assert (sets, admissible) == (2960, 1393)
 
 
 def test_two_number_requires_admissible():
@@ -720,11 +827,11 @@ def test_orbit_points_array_is_readonly_int16():
         OrbitPoints(np.zeros(6, dtype=np.int16))  # not n x r
 
 
-@pytest.mark.parametrize("loaded, want", [(True, "wbbb"), (False, "wwwb")])
+@pytest.mark.parametrize("loaded, want", [(True, "bbbb"), (False, "wwwb")])
 def test_orbit_picks_its_walk_by_size_and_whether_numpy_is_loaded(monkeypatch, loaded, want):
-    # the pure-Python walk takes orbits of at most SMALL_ORBIT points, and of
-    # at most COLD_ORBIT while numpy is not imported; A4 {2}, {1,2}, {1,2,3}
-    # and full have 10, 20, 60 and 120 points
+    # the pure-Python walk takes an orbit only while numpy is not imported,
+    # and then only up to COLD_ORBIT points; A4 {2}, {1,2}, {1,2,3} and full
+    # have 10, 20, 60 and 120 points
     seen = []
 
     def recording(letter):
@@ -736,7 +843,6 @@ def test_orbit_picks_its_walk_by_size_and_whether_numpy_is_loaded(monkeypatch, l
 
     monkeypatch.setattr(antipodal, "_orbit_walk", recording("w"))
     monkeypatch.setattr(antipodal, "_orbit_bfs", recording("b"))
-    monkeypatch.setattr(antipodal, "SMALL_ORBIT", 10)
     monkeypatch.setattr(antipodal, "COLD_ORBIT", 60)
     if not loaded:
         monkeypatch.delitem(sys.modules, "numpy")
@@ -747,14 +853,18 @@ def test_orbit_picks_its_walk_by_size_and_whether_numpy_is_loaded(monkeypatch, l
 
 
 def test_small_orbit_points_array_is_a_readonly_view():
-    # up to SMALL_ORBIT the points are packed bytes, not numpy's array: `array`
-    # is a read-only int16 view of them, the same memory on every read
-    res = orbit(build(rst("A", 4)), IndexSet.of(2), keep_elements=True)
-    assert res.size == 10 <= SMALL_ORBIT
-    arr = res.elements.array
+    # a process without numpy keeps a small orbit's points as the pure-Python
+    # walk's packed bytes, not numpy's array: `array` is a read-only int16
+    # view of them, the same memory on every read, and it pickles as an array
+    system = build(rst("A", 4))
+    sizes, packed = _orbit_walk(system, xi_vector(IndexSet.of(2), 4), 10, keep_elements=True)
+    assert sum(sizes) == 10 and isinstance(packed, memoryview)
+    points = OrbitPoints(packed)
+    arr = points.array
     assert arr.dtype == np.int16 and arr.flags.c_contiguous and not arr.flags.writeable
-    assert arr.shape == (10, 4) and np.shares_memory(arr, res.elements.array)
-    assert arr.tolist() == [list(v) for v in res.elements]
+    assert arr.shape == (10, 4) and np.shares_memory(arr, points.array)
+    assert arr.tolist() == [list(v) for v in points]
+    assert pickle.loads(pickle.dumps(points)) == points
 
 
 def test_orbit_points_equal_and_hash_as_tuples():
@@ -779,7 +889,7 @@ def test_orbit_points_differ_by_bytes_shape_or_points():
     assert pts != tuple((-a, -b) for a, b in pts)  # same length, other points
 
 
-@pytest.mark.parametrize("m", [0b111111, 0b1])  # 51,840 and 27 points: both walks
+@pytest.mark.parametrize("m", [0b111111, 0b1])  # 51,840 and 27 points
 def test_orbit_result_pickles_with_its_points(m):
     res = orbit(build(rst("E", 6)), IndexSet(m), keep_elements=True)
     back = pickle.loads(pickle.dumps(res))

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rspaces.antipodal import COLD_ORBIT, SMALL_ORBIT
+from rspaces.antipodal import COLD_ORBIT
 from rspaces.cli import main
 
 REPO = Path(__file__).resolve().parent.parent
@@ -196,7 +196,7 @@ print("numpy" in sys.modules, "rspaces.verify" in sys.modules)
     # 10, F4 full 1,152, the most of any rank <= 4) are walked without it,
     # larger ones (E6 full has 51,840) with it; only verify-all loads the
     # acceptance suite
-    assert 10 <= SMALL_ORBIT < 1152 <= COLD_ORBIT < 51840
+    assert 1152 <= COLD_ORBIT < 51840
     assert fresh("subgroups") == ""
     assert fresh("the rest") == "False\nTrue False\n"
 
