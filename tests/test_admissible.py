@@ -8,7 +8,6 @@ import pytest
 from rspaces.admissible import (
     IndexSet,
     admissibility_witness,
-    all_nonempty_subsets,
     closed_form,
     enumerate_admissible,
     extrinsic_symmetric_indices,
@@ -41,7 +40,6 @@ def test_index_set_basics():
     assert IndexSet.full(4).mask == 0b1111
     assert not IndexSet(0)
     assert IndexSet().mask == 0 and not IndexSet() and list(IndexSet()) == []
-    assert [J.mask for J in all_nonempty_subsets(3)] == [1, 2, 3, 4, 5, 6, 7]
     assert sorted([IndexSet.of(3), IndexSet.of(1, 2)]) == [IndexSet.of(1, 2), IndexSet.of(3)]
 
 
@@ -182,6 +180,17 @@ def test_verify_classification_e6():
     report = verify_classification(rst("E", 6))
     assert report.closed_form_agrees
     assert not report.witness_discrepancies
+
+
+def test_verify_classification_reports_discrepancies_by_increasing_mask(monkeypatch):
+    # a closed form that admits nothing disagrees on every admissible set, so
+    # the report lists exactly those, in the order of their masks
+    monkeypatch.setattr("rspaces.admissible.closed_form", lambda rst, I: False)
+    report = verify_classification(rst("A", 3))
+    assert not report.closed_form_agrees
+    assert [(I.mask, exp, got) for I, exp, got in report.witness_discrepancies] == [
+        (mask, False, True) for mask in range(1, 8)
+    ]
 
 
 def test_report_dict_and_markdown():
