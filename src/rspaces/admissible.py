@@ -112,18 +112,24 @@ def enumerate_admissible(system: RootSystem) -> list[IndexSet]:
 
 
 # ---------------------------------------------------------------------------
-# Closed-form classification, one predicate per type.  The E-type exclusion
-# lists are transcribed literally; brute force is the oracle that keeps them
-# honest (verify_classification below).
+# Closed-form classification, one predicate per type, on the bitmask of I (index j
+# is bit j - 1).  The E-type tables are transcribed literally and turned into masks
+# at import; brute force is the oracle that keeps them honest (verify_classification).
 
-_E6_EXCLUDE_WITH_1 = ({1, 4}, {1, 5}, {1, 4, 5}, {1, 4, 6})
-_E6_EXCLUDE_WITH_6 = ({3, 6}, {4, 6}, {3, 4, 6})  # sets with 1 are decided by the 1-branch
 
-_E7_SUPERSETS_WITH_1 = ({1, 2, 4, 6}, {1, 4, 5, 6})
-_E7_SUPERSETS_WITH_2 = ({2, 3, 4, 6}, {2, 3, 5, 6})
+def _masks(*sets: set[int]) -> tuple[int, ...]:
+    return tuple(IndexSet.from_iterable(s).mask for s in sets)
 
-_E8_SUPERSET_WITH_8 = {1, 3, 4, 6, 8}
-_E8_SUPERSETS_WITH_1 = (
+
+_E6_EXCLUDE_WITH_1 = _masks({1, 4}, {1, 5}, {1, 4, 5}, {1, 4, 6})
+_E6_SUPERSETS_WITH_2 = _masks({2, 3, 5})
+_E6_EXCLUDE_WITH_6 = _masks({3, 6}, {4, 6}, {3, 4, 6})  # sets with 1 are decided by the 1-branch
+
+_E7_SUPERSETS_WITH_1 = _masks({1, 2, 4, 6}, {1, 4, 5, 6})
+_E7_SUPERSETS_WITH_2 = _masks({2, 3, 4, 6}, {2, 3, 5, 6})
+
+_E8_SUPERSETS_WITH_8 = _masks({1, 3, 4, 6, 8})
+_E8_SUPERSETS_WITH_1 = _masks(
     {1, 2, 3, 5, 7},
     {1, 2, 4, 5, 7},
     {1, 2, 4, 6, 7},
@@ -131,67 +137,59 @@ _E8_SUPERSETS_WITH_1 = (
     {1, 3, 4, 6, 7},
     {1, 4, 5, 6, 7},
 )
-_E8_SUPERSETS_WITH_2 = ({2, 3, 4, 5, 7}, {2, 3, 4, 6, 7}, {2, 3, 5, 6, 7})
+_E8_SUPERSETS_WITH_2 = _masks({2, 3, 4, 5, 7}, {2, 3, 4, 6, 7}, {2, 3, 5, 6, 7})
 
 
-def _closed_form_e6(s: frozenset[int]) -> bool:
-    if 1 in s:
-        return s not in _E6_EXCLUDE_WITH_1
-    if 2 in s:
-        return not s <= {2, 3, 5}
-    if 6 in s:
-        return s not in _E6_EXCLUDE_WITH_6
+def _closed_form_e6(m: int) -> bool:
+    if m & 1:
+        return m not in _E6_EXCLUDE_WITH_1
+    if m & 2:
+        return all(m & ~big for big in _E6_SUPERSETS_WITH_2)
+    if m >> 5 & 1:
+        return m not in _E6_EXCLUDE_WITH_6
     return False
 
 
-def _closed_form_e7(s: frozenset[int]) -> bool:
-    if 7 in s:
-        if s == {7}:
-            return True
-        return _closed_form_e6(s - {7})
-    if 1 in s:
-        return not any(s <= big for big in _E7_SUPERSETS_WITH_1)
-    if 2 in s:
-        return not any(s <= big for big in _E7_SUPERSETS_WITH_2)
+def _closed_form_e7(m: int) -> bool:
+    if m >> 6 & 1:
+        return m == 1 << 6 or _closed_form_e6(m ^ 1 << 6)
+    if m & 1:
+        return all(m & ~big for big in _E7_SUPERSETS_WITH_1)
+    if m & 2:
+        return all(m & ~big for big in _E7_SUPERSETS_WITH_2)
     return False
 
 
-def _closed_form_e8(s: frozenset[int]) -> bool:
-    if 8 in s:
-        if s <= _E8_SUPERSET_WITH_8:
-            return False
-        return _closed_form_e7(s - {8})
-    if 1 in s:
-        return not any(s <= big for big in _E8_SUPERSETS_WITH_1)
-    if 2 in s:
-        return not any(s <= big for big in _E8_SUPERSETS_WITH_2)
+def _closed_form_e8(m: int) -> bool:
+    if m >> 7 & 1:
+        return all(m & ~big for big in _E8_SUPERSETS_WITH_8) and _closed_form_e7(m ^ 1 << 7)
+    if m & 1:
+        return all(m & ~big for big in _E8_SUPERSETS_WITH_1)
+    if m & 2:
+        return all(m & ~big for big in _E8_SUPERSETS_WITH_2)
     return False
 
 
 def closed_form(rst: RootSystemType, I: IndexSet) -> bool:
     """The published per-type answer, independent of the parity machinery."""
     check_index_set(I, rst.rank)
-    s = frozenset(I)
+    m = I.mask
     r = rst.rank
     fam = rst.family
     if fam == "A":
         return True
     if fam == "B":
-        return s == set(range(1, max(s) + 1))
+        return not m & (m + 1)  # I = {1, ..., k}: no gap above bit 0
     if fam == "C":
-        return r in s
+        return m >> (r - 1) == 1  # r in I, as no bit lies above r - 1
     if fam == "D":
-        if s & {r - 1, r}:
-            return True
-        if 1 in s:
-            return s == set(range(1, max(s) + 1))
-        return False
+        return m >> (r - 2) != 0 or not m & (m + 1)  # r - 1 or r in I, or I = {1, ..., k}
     if fam == "E":
-        return {6: _closed_form_e6, 7: _closed_form_e7, 8: _closed_form_e8}[r](s)
+        return {6: _closed_form_e6, 7: _closed_form_e7, 8: _closed_form_e8}[r](m)
     if fam == "F":
-        return {1, 2} <= s
+        return (m & 0b11) == 0b11
     if fam == "G":
-        return s == {1, 2}
+        return m == 0b11
     if fam == "BC":
         return False
     raise AssertionError(fam)

@@ -37,6 +37,11 @@ FIXTURE_TYPES = tuple(
     for fam, rank in (("A", 3), ("B", 3), ("C", 3), ("D", 4), ("BC", 2), ("F", 4), ("G", 2), ("E", 6))
 )
 BUDGET_ENV_VAR = "RSPACES_ORBIT_BUDGET"
+# The largest ranks the CLI serves; larger ones are usage errors, so every input
+# exits 0-3.  build() takes seconds at rank 128 (check B 128: 4 s on a 2-core host),
+# and classify walks all 2^r - 1 subsets (A20: 1,048,575 sets, 15 s with the listing).
+MAX_RANK = 128
+MAX_CLASSIFY_RANK = 20
 
 
 def _emit_json(payload: dict | list) -> None:
@@ -48,11 +53,16 @@ def _query(rst: RootSystemType, I: IndexSet) -> dict:
     return {"family": rst.family, "rank": rst.rank, "set": list(I)}
 
 
-def _parse_type(parser: argparse.ArgumentParser, family: str, rank: int) -> RootSystemType:
+def _parse_type(
+    parser: argparse.ArgumentParser, family: str, rank: int, max_rank: int = MAX_RANK
+) -> RootSystemType:
     try:
-        return RootSystemType(family.upper(), rank)
+        rst = RootSystemType(family.upper(), rank)
     except RootSystemError as exc:
         parser.error(str(exc))
+    if rank > max_rank:
+        parser.error(f"rank {rank} exceeds {max_rank}, the largest rank this subcommand serves")
+    return rst
 
 
 def _positive_int(raw: str) -> int:
@@ -81,7 +91,7 @@ def _parse_set(parser: argparse.ArgumentParser, raw: str, rank: int) -> IndexSet
 
 
 def _cmd_classify(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    rst = _parse_type(parser, args.family, args.rank)
+    rst = _parse_type(parser, args.family, args.rank, MAX_CLASSIFY_RANK)
     report = adm.verify_classification(rst)
     if args.format == "json":
         _emit_json(report.to_dict())

@@ -40,10 +40,12 @@ def _run(criterion, work):
 
 def test_criterion_01_classification_reproduction():
     """Brute-force parity enumeration equals the closed forms on every subset."""
+    # the 40 standard types, then A, B, C, D and BC at ranks 9-14
     result = _run(
-        verify.criterion_1_classification, {"types": 40, "index_sets": 2960, "admissible": 1393}
+        verify.criterion_1_classification,
+        {"types": 70, "index_sets": 164210, "admissible": 74089},
     )
-    assert result.detail == "40 types, zero discrepancies"
+    assert result.detail == "70 types, zero discrepancies"
 
 
 def test_criterion_02_type_specific_counts():
@@ -165,7 +167,7 @@ def test_gate_fails_a_passing_check_that_overruns(monkeypatch):
     _fake_clock(monkeypatch, 6.0)
     gated = verify.criterion_1_classification()  # 5 s gate
     assert not gated.passed and gated.elapsed == 6.0
-    assert gated.detail == "40 types, zero discrepancies; exceeded 5s budget"
+    assert gated.detail == "70 types, zero discrepancies; exceeded 5s budget"
     ungated = verify.criterion_2_counts()
     assert ungated.passed and ungated.elapsed == 6.0
     assert ungated.detail == "A/B/C/G/BC counts exact"
@@ -203,6 +205,27 @@ def test_criterion_01_fails_on_a_closed_form_mismatch(monkeypatch):
         "closed-form mismatches: [(RootSystemType(family='G', rank=2), "
         "[(IndexSet(mask=1), True, False), (IndexSet(mask=2), True, False), "
         "(IndexSet(mask=3), True, False)])]",
+    )
+
+
+def test_criterion_01_fails_on_a_mismatch_past_rank_8(monkeypatch):
+    # the rank-generic closed forms are checked past the standard types too
+    verify_classification = verify.adm.verify_classification
+
+    def report(rst):
+        if rst != RootSystemType("D", 12):
+            return verify_classification(rst)
+        return SimpleNamespace(
+            admissible_sets=(),
+            closed_form_agrees=False,
+            witness_discrepancies=[(IndexSet(2), True, False)],
+        )
+
+    monkeypatch.setattr(verify.adm, "verify_classification", report)
+    _fails(
+        verify.criterion_1_classification,
+        "closed-form mismatches: [(RootSystemType(family='D', rank=12), "
+        "[(IndexSet(mask=2), True, False)])]",
     )
 
 

@@ -156,6 +156,15 @@ def test_enumerate_sorted_no_duplicates():
         ("D", 6, (2,), False),
         ("G", 2, (1, 2), True),
         ("BC", 5, (1, 2, 3, 4, 5), False),
+        # past the 40 standard types: the rank-generic families at rank 12
+        ("B", 12, (1, 2, 3, 4, 5), True),
+        ("B", 12, (1, 3), False),
+        ("C", 12, (12,), True),
+        ("C", 12, (11,), False),
+        ("D", 12, (11,), True),
+        ("D", 12, (1, 2, 3), True),
+        ("D", 12, (2,), False),
+        ("BC", 12, (1,), False),
     ],
 )
 def test_closed_form_examples(fam, r, indices, expected):

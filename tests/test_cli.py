@@ -330,6 +330,9 @@ FLAG_PRESET = ("subgroups", "A", "5", "--preset", "a-r-flag-example", "--params"
         (*FLAG_PRESET, "--set", "1,3,5"),
         (*FLAG_PRESET, "--gens", "1,3;2"),
         ("subgroups", "A", "5", "--set", "1,2", "--params", "9,9"),
+        # ranks above the CLI's bounds: 20 for classify, 128 for every subcommand
+        ("classify", "A", "21"),
+        ("check", "A", "129", "--set", "1"),
     ],
 )
 def test_usage_errors(argv):
@@ -342,6 +345,21 @@ def test_usage_errors(argv):
     assert proc.returncode == 2
     # argparse and the handlers alike name the subcommand whose input is wrong
     assert proc.stdout == "" and f"rspaces {argv[0]}: error:" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv,bound",
+    [
+        # refused before classify allocates its 2^r tables or check builds the system
+        (("classify", "A", "40", "--format", "json"), "rank 40 exceeds 20"),
+        (("check", "A", "3000", "--set", "1"), "rank 3000 exceeds 128"),
+    ],
+)
+def test_rank_bounds_are_named_on_one_error_line(capsys, argv, bound):
+    assert run_expecting_usage_error(*argv) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.count("error:") == 1 and bound in out.err
 
 
 def test_orbit_budget_env_default(monkeypatch):
