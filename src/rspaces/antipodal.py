@@ -140,16 +140,14 @@ class OrbitResult:
     level_sizes: tuple[int, ...] | None = None
 
     def to_dict(self) -> dict:
-        out = {
+        """The orbit's summary: neither its points nor `level_sizes`."""
+        return {
             "size": self.size,
             "weyl_order": self.weyl_order,
             "stabilizer_order": self.stabilizer_order,
             "method": self.method,
             "budget_exceeded": self.budget_exceeded,
         }
-        if self.elements is not None:
-            out["elements"] = list(map(list, self.elements))
-        return out
 
 
 def stabilizer_order(system: RootSystem, I: IndexSet) -> int:

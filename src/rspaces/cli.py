@@ -20,7 +20,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -133,14 +132,15 @@ def _orbit_payload(
     system: RootSystem, I: IndexSet, res: OrbitResult, include_elements: bool
 ) -> dict:
     admissible = adm.is_admissible(system, I)
-    if not include_elements:
-        res = replace(res, elements=None)
-    return {
+    payload = {
         **_query(system.type, I),
         "admissible": admissible,
         "two_number": res.size if admissible else None,
         **res.to_dict(),
     }
+    if include_elements and res.elements is not None:
+        payload["elements"] = list(map(list, res.elements))
+    return payload
 
 
 def _cmd_two_number(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:

@@ -172,7 +172,7 @@ def criterion_5_extrinsic(work: dict[str, int]) -> tuple[bool, str]:
 
 @_criterion(6, "antipodal orbit agreement", limit=60.0)
 def criterion_6_orbit_agreement(work: dict[str, int]) -> tuple[bool, str]:
-    work.update(orbits=0, points=0)
+    work.update(orbits=0, points=0, closed_forms=0)
     for rst in standard_types():
         if ant.weyl_group_order(rst) > WEYL_ENUMERATION_CAP:
             continue
@@ -183,13 +183,33 @@ def criterion_6_orbit_agreement(work: dict[str, int]) -> tuple[bool, str]:
                 return False, f"{rst} {I}: enumeration did not run"
             work["orbits"] += 1
             work["points"] += res.size
-    for n in range(2, 9):
-        system = build(RootSystemType("A", n - 1))
-        for k in range(1, n):
-            got = ant.two_number(system, IndexSet.of(k))
-            if got != math.comb(n, k):
-                return False, f"A{n-1} {{{k}}}: two-number {got} != C({n},{k})"
-    return True, f"{work['orbits']} orbits agree with the order formula; A-type binomials exact"
+    for rst, I, want, form in _two_number_closed_forms():
+        got = ant.two_number(build(rst), I)
+        work["closed_forms"] += 1
+        if got != want:
+            return False, f"{rst} {I}: two-number {got} != {form} = {want}"
+    return True, f"{work['orbits']} orbits agree with the order formula; closed forms exact"
+
+
+def _two_number_closed_forms() -> Iterator[tuple[RootSystemType, IndexSet, int, str]]:
+    """(type, I, 2-number, its form) as published (Chen and Nagano 1988; Takeuchi 1989).
+
+    Each I of A_r gives a flag manifold, (r+1)!/prod d_i! for the gaps d_i of 0 < I < r+1.
+    B_r {1} and D_r {1} are quadrics, C_r {r} and D_r {r-1}, {r} Lagrangian and spinor.
+    """
+    for r in range(1, 9):
+        for m in range(1, 1 << r):
+            cuts = [0, *IndexSet(m), r + 1]
+            gaps = [b - a for a, b in zip(cuts, cuts[1:])]
+            want = math.factorial(r + 1) // math.prod(map(math.factorial, gaps))
+            yield RootSystemType("A", r), IndexSet(m), want, f"{r + 1}!/({' '.join(f'{d}!' for d in gaps)})"
+    for r in range(2, 9):
+        yield RootSystemType("B", r), IndexSet.of(1), 2 * r, "2r"
+        yield RootSystemType("C", r), IndexSet.of(r), 2**r, "2^r"
+    for r in range(4, 9):
+        yield RootSystemType("D", r), IndexSet.of(1), 2 * r, "2r"
+        yield RootSystemType("D", r), IndexSet.of(r - 1), 2 ** (r - 1), "2^(r-1)"
+        yield RootSystemType("D", r), IndexSet.of(r), 2 ** (r - 1), "2^(r-1)"
 
 
 @_criterion(7, "Weyl order cross-validation", limit=120.0)

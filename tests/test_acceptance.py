@@ -70,8 +70,12 @@ def test_criterion_05_extrinsic_subsets():
 
 
 def test_criterion_06_orbit_agreement():
-    """BFS orbit size equals |W|/|W_parabolic| for every admissible set; A-type binomials."""
-    _run(verify.criterion_6_orbit_agreement, {"orbits": 969, "points": 52_794_254})
+    """BFS orbit size equals |W|/|W_parabolic| for every admissible set; published closed forms."""
+    # the 502 sets of A1-A8, then B_r {1}, C_r {r} at ranks 2-8 and D_r {1}, {r-1}, {r} at 4-8
+    _run(
+        verify.criterion_6_orbit_agreement,
+        {"orbits": 969, "points": 52_794_254, "closed_forms": 531},
+    )
 
 
 def test_criterion_07_weyl_order_cross_validation():
@@ -267,7 +271,17 @@ def test_criterion_06_requires_enumeration(monkeypatch):
 def test_criterion_06_fails_on_a_wrong_binomial(monkeypatch):
     monkeypatch.setattr(verify, "WEYL_ENUMERATION_CAP", 0)  # no orbit is enumerated
     monkeypatch.setattr(verify.ant, "two_number", lambda system, I: 0)
-    _fails(verify.criterion_6_orbit_agreement, "A1 {1}: two-number 0 != C(2,1)")
+    _fails(verify.criterion_6_orbit_agreement, "A1 {1}: two-number 0 != 2!/(1! 1!) = 2")
+
+
+def test_criterion_06_fails_on_a_wrong_spinor_variety(monkeypatch):
+    monkeypatch.setattr(verify, "WEYL_ENUMERATION_CAP", 0)
+    two_number = verify.ant.two_number
+    spinor = (RootSystemType("D", 8), IndexSet.of(8))
+    monkeypatch.setattr(
+        verify.ant, "two_number", lambda system, I: two_number(system, I) + ((system.type, I) == spinor)
+    )
+    _fails(verify.criterion_6_orbit_agreement, "D8 {8}: two-number 129 != 2^(r-1) = 128")
 
 
 def test_criterion_07_fails_on_a_wrong_regular_orbit(monkeypatch):

@@ -518,6 +518,14 @@ def test_orbit_levels_are_poincare_coefficients(fam, r):
         assert "level_sizes" not in res.to_dict()
 
 
+def test_orbit_to_dict_is_the_summary():
+    # kept or not, a result's dict holds neither its points nor its level sizes
+    summary = {"size", "weyl_order", "stabilizer_order", "method", "budget_exceeded"}
+    system = build(rst("C", 3))
+    for kwargs in ({}, {"enumerate": True}, {"keep_elements": True}, {"keep_elements": True, "budget": 1}):
+        assert set(orbit(system, IndexSet.of(3), **kwargs).to_dict()) == summary
+
+
 @pytest.mark.parametrize("fam,r", POINCARE_TYPES)
 def test_orbit_bfs_matches_tree_rule_oracle(fam, r):
     # deciding each child from its parent keeps exactly the children that

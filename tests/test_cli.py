@@ -123,6 +123,9 @@ def test_orbit_json_fields(capsys, tmp_path):
     assert set(json.loads(out)) == keys
     _, out, _ = run(capsys, *base, "--elements")
     assert json.loads(out)["elements"] == [[-1, 1], [0, -1], [1, 0]]
+    # and an orbit over its budget has no points to show
+    _, out, _ = run(capsys, *base, "--elements", "--budget", "1")
+    assert set(json.loads(out)) == keys
 
 
 def test_two_number_not_admissible_message(capsys):
@@ -158,6 +161,7 @@ def test_numpy_imported_only_to_enumerate():
 import contextlib, io, sys
 import rspaces
 assert [m for m in sys.modules if m.startswith("rspaces")] == ["rspaces"]
+assert {"roots", "admissible", "antipodal", "gamma"} <= set(dir(rspaces))  # before their import
 from rspaces.cli import main
 def run(*argv):
     with contextlib.redirect_stdout(io.StringIO()):

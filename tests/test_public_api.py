@@ -1,6 +1,10 @@
 """The public names of the package, which every change keeps the same."""
 
+import ast
 from dataclasses import fields
+from pathlib import Path
+
+import pytest
 
 import rspaces
 import rspaces.antipodal
@@ -47,6 +51,37 @@ def test_all_names():
         "xi_vector",
     ]
     assert all(hasattr(rspaces, name) for name in rspaces.__all__)
+
+
+def test_each_name_is_exported_from_its_defining_module():
+    # not from a module that imports it (antipodal imports IndexSet and
+    # is_admissible, say): the table maps a name to where it is defined
+    package = Path(rspaces.__file__).parent
+    defined = {}
+    for module in set(rspaces._EXPORTS.values()):
+        tree = ast.parse((package / f"{module}.py").read_text())
+        defined[module] = {node.name for node in tree.body if hasattr(node, "name")} | {
+            target.id
+            for node in tree.body
+            if isinstance(node, ast.Assign)
+            for target in node.targets
+            if isinstance(target, ast.Name)
+        }
+    misplaced = [name for name, module in rspaces._EXPORTS.items() if name not in defined[module]]
+    assert misplaced == []
+
+
+def test_module_attributes():
+    # dir() lists the module's globals, every public name and submodule; any
+    # other name is an AttributeError
+    assert {"__version__", *rspaces.__all__, *rspaces._EXPORTS.values()} <= set(dir(rspaces))
+    with pytest.raises(AttributeError, match="^module 'rspaces' has no attribute 'nope'$"):
+        rspaces.nope
+
+
+def test_version_is_the_published_one():
+    pyproject = (Path(rspaces.__file__).parents[2] / "pyproject.toml").read_text()
+    assert f'version = "{rspaces.__version__}"' in pyproject.splitlines()
 
 
 def test_weyl_group_order_is_one_function():
