@@ -10,8 +10,8 @@ Commands
 
 Index sets are 1-based comma lists in Bourbaki numbering, matching all output.
 Exit codes: 0 success, 1 internal discrepancy, 2 usage error, 3 enumeration
-budget exceeded under --strict, 141 stdout closed by its reader (the code a
-shell reports for a writer killed by SIGPIPE).
+budget exceeded under --strict or --dump, 141 stdout closed by its reader
+(the code a shell reports for a writer killed by SIGPIPE).
 """
 
 from __future__ import annotations
@@ -194,9 +194,8 @@ def _cmd_orbit(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
         if args.elements and res.elements is not None:
             for v in res.elements:
                 print("  " + " ".join(f"{c:3d}" for c in v))
-    if res.budget_exceeded and args.strict:
-        return 3
-    return 0
+    # over budget no point is kept, so --dump wrote nothing: exit 3 says so, as --strict does
+    return 3 if res.budget_exceeded and (args.strict or args.dump is not None) else 0
 
 
 def _subgroup_analysis(system: RootSystem, I: IndexSet, sub: GammaSubgroup) -> dict:

@@ -12,14 +12,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from itertools import combinations, product
+from itertools import combinations
 from operator import or_
 from typing import Iterable, Iterator, Sequence
 
 from .admissible import IndexSet, check_index_set, is_admissible
 from .roots import Root, RootSystem
 
-MAX_SCAN_RANK = 8  # about 1.3 s per rank-8 scan; rank 9 has 8.3M subspaces, 20x rank 8
+MAX_SCAN_RANK = 8  # 0.1-0.3 s per rank-8 scan; rank 9 has 8.3M subspaces, 20x rank 8
 MAX_SUBSET_SIZE = 6  # |I| bound of minimal_triple_subgroups: 2,825 subspaces of Gamma^I
 
 
@@ -128,12 +128,13 @@ def all_subgroups(rank: int) -> Iterator[GammaSubgroup]:
 
     Deterministic order by (dimension, pivot set, free bits); see _echelon_bases.
     """
-    for basis in _echelon_bases(range(rank)):
+    for basis, _ in _echelon_bases(range(rank), (0,) * rank):
         yield GammaSubgroup(rank, basis)
 
 
-def _echelon_bases(positions: Sequence[int]) -> Iterator[tuple[int, ...]]:
-    """Reduced echelon bases of all subgroups of the span of the bits at increasing positions.
+def _echelon_bases(positions: Sequence[int], odd_columns: Sequence[int]) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Reduced echelon bases of all subgroups of the span of the bits at increasing positions,
+    each paired with the roots it moves: the OR of its rows' XORs of odd_columns.
 
     Each subspace appears exactly once via its unique reduced echelon basis:
     the row with pivot p has free bits only at later non-pivot positions, so
@@ -142,15 +143,16 @@ def _echelon_bases(positions: Sequence[int]) -> Iterator[tuple[int, ...]]:
     """
     for k in range(len(positions) + 1):
         for pivots in combinations(positions, k):
-            choices = []  # each pivot's rows, last pivot first: product() varies row 0 fastest
+            bases = [((), 0)]  # the rows of the later pivots, and the roots they move
             for p in reversed(pivots):
-                rows = [1 << p]
+                rows = [(1 << p, odd_columns[p])]  # each with the XOR of its bits' odd columns
                 for q in positions:
                     if q > p and q not in pivots:
-                        rows += [row | 1 << q for row in rows]
-                choices.append(rows)
-            for rows in product(*choices):
-                yield rows[::-1]
+                        rows += [(row | 1 << q, odd ^ odd_columns[q]) for row, odd in rows]
+                step = (((row, *basis), moved | odd) for basis, moved in bases for row, odd in rows)
+                # row 0 varies fastest; its step is yielded, not listed (4,096 bases at most at rank 8)
+                bases = step if p == pivots[0] else list(step)
+            yield from bases
 
 
 @dataclass(frozen=True)
@@ -235,8 +237,8 @@ def verify_maximality_proposition(system: RootSystem) -> bool:
             f"{system.type} has rank {r}"
         )
     named = {system.nonzero_on(m): m for m in range(1, 1 << r)}
-    for basis in _echelon_bases(range(r)):
-        m = named.get(_moved_roots(system, basis), 0)
+    for basis, moved in _echelon_bases(range(r), system.odd_columns):
+        m = named.get(moved, 0)
         # inside Gamma^I, every label inside I, exactly when its support (OR of rows) is
         if m and not (is_admissible(system, IndexSet(m)) and reduce(or_, basis, 0) & ~m == 0):
             return False
@@ -256,8 +258,8 @@ def minimal_triple_subgroups(system: RootSystem, I: IndexSet) -> list[GammaSubgr
         raise ValueError(f"|I| = {len(I)} exceeds the subspace-enumeration bound {MAX_SUBSET_SIZE}")
     nonzero = system.nonzero_on(I.mask)
     minimal = []
-    for basis in _echelon_bases([j - 1 for j in I]):
-        if _moved_roots(system, basis) != nonzero:
+    for basis, moved in _echelon_bases([j - 1 for j in I], system.odd_columns):
+        if moved != nonzero:
             continue
         classes = [nonzero]  # split by parity on each row; all-even last, empty for a triple
         for row in basis:

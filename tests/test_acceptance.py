@@ -104,9 +104,9 @@ def test_criterion_07_requires_enumeration(monkeypatch):
 
 
 def test_criterion_08_subgroup_maximality():
-    """Every triple forces the subgroup inside Gamma^I with I admissible (rank <= 7)."""
-    result = _run(verify.criterion_8_maximality, {"systems": 34, "subgroups": 194_587})
-    assert result.detail == "exhaustive over all subgroups, 34 systems at rank <= 7"
+    """Every triple forces the subgroup inside Gamma^I with I admissible (all 40 types)."""
+    result = _run(verify.criterion_8_maximality, {"systems": 40, "subgroups": 2_697_781})
+    assert result.detail == "exhaustive over all subgroups, 40 systems at rank <= 8"
 
 
 def test_criterion_09_flag_example():

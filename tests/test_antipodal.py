@@ -665,13 +665,6 @@ def test_two_number_examples():
     assert two_number(build(rst("G", 2)), IndexSet.full(2)) == 12
 
 
-def test_two_number_binomials():
-    for n in range(2, 9):
-        system = build(rst("A", n - 1))
-        for k in range(1, n):
-            assert two_number(system, IndexSet.of(k)) == math.comb(n, k)
-
-
 def test_two_number_multinomials_through_a12():
     # every I of A_n is admissible, and X_I is a partial flag manifold whose
     # 2-number is (n+1)! / prod d_i!, the d_i the gaps of 0 < I < n+1

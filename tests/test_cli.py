@@ -219,6 +219,22 @@ def test_orbit_budget_exceeded_strict(capsys):
     assert code == 3
 
 
+def test_orbit_dump_over_budget(capsys, tmp_path):
+    # no point is kept over the budget, so --dump exits 3, as --strict does,
+    # and leaves a file from an earlier run byte for byte as it was
+    dump = tmp_path / "orbit.bin"
+    dump.write_bytes(b"stale")
+    code, out, err = run(capsys, "orbit", "A", "4", "--set", "2", "--budget", "1", "--dump", str(dump))
+    assert code == 3
+    assert out == "orbit of xi_{2} in A4: 10 points (order_formula)\n  weyl order 120, stabilizer 12\n"
+    assert "exceeds enumeration budget 1" in err
+    assert dump.read_bytes() == b"stale"
+    # one the budget admits still writes its points and exits 0
+    code, _, _ = run(capsys, "orbit", "A", "4", "--set", "2", "--budget", "10", "--dump", str(dump))
+    assert code == 0
+    assert len(dump.read_bytes()) == 10 * 4 * 2
+
+
 def test_subgroups_minimal(capsys):
     code, out, _ = run(capsys, "subgroups", "A", "4", "--set", "1,2,3", "--format", "json")
     assert code == 0

@@ -25,7 +25,7 @@ from itertools import zip_longest
 import pytest
 
 from rspaces.admissible import IndexSet, enumerate_admissible
-from rspaces.gamma import _echelon_bases, _moved_roots, minimal_triple_subgroups
+from rspaces.gamma import _echelon_bases, minimal_triple_subgroups
 from rspaces.roots import RootSystemType, build, standard_types
 
 MAX_SIZE = 6  # largest |I| checked against the library's subspace walk
@@ -114,8 +114,8 @@ def walked_triple_counts(system, I):
     """T_0..T_k by the library's walk: subspaces of Gamma^I that move exactly the roots nonzero on I."""
     counts = [0] * (len(I) + 1)
     nonzero = system.nonzero_on(I.mask)
-    for basis in _echelon_bases([j - 1 for j in I]):
-        if _moved_roots(system, basis) == nonzero:
+    for basis, moved in _echelon_bases([j - 1 for j in I], system.odd_columns):
+        if moved == nonzero:
             counts[len(basis)] += 1
     return counts
 

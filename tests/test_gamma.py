@@ -4,7 +4,7 @@ import inspect
 import random
 from dataclasses import fields
 from functools import reduce
-from itertools import combinations
+from itertools import combinations, product
 from operator import or_, xor
 
 import pytest
@@ -158,11 +158,42 @@ def test_echelon_bases_pass_the_public_constructor():
                 walks.add((system.rank, tuple(j - 1 for j in I)))
     n_bases = 0
     for rank, positions in sorted(walks):
-        for basis in _echelon_bases(positions):
+        for basis, _ in _echelon_bases(positions, (0,) * rank):
             assert type(basis) is tuple
             assert GammaSubgroup(rank, basis).basis == basis
             n_bases += 1
     assert n_bases > 10_000
+
+
+def product_echelon_bases(positions):
+    """The former walk, a test oracle: each pivot's rows, last pivot first,
+    joined by product(), which varies row 0 fastest."""
+    for k in range(len(positions) + 1):
+        for pivots in combinations(positions, k):
+            choices = []
+            for p in reversed(pivots):
+                rows = [1 << p]
+                for q in positions:
+                    if q > p and q not in pivots:
+                        rows += [row | 1 << q for row in rows]
+                choices.append(rows)
+            for rows in product(*choices):
+                yield rows[::-1]
+
+
+def test_echelon_walk_matches_the_product_walk():
+    # through rank 6, on range(r) and on the positions of every admissible I:
+    # the same bases in the same order, each carrying the roots _moved_roots refolds
+    n_walks = n_bases = 0
+    for system in map(build, standard_types(6)):
+        walks = [range(system.rank)] + [[j - 1 for j in I] for I in enumerate_admissible(system)]
+        for positions in walks:
+            walked = list(_echelon_bases(positions, system.odd_columns))
+            assert [basis for basis, _ in walked] == list(product_echelon_bases(positions))
+            assert all(moved == gamma._moved_roots(system, basis) for basis, moved in walked)
+            n_walks += 1
+            n_bases += len(walked)
+    assert (n_walks, n_bases) == (373, 51_235)
 
 
 def test_elements_are_the_sorted_xor_closure_of_the_basis():
@@ -336,20 +367,25 @@ def test_maximality_proposition_needs_the_subgroup_inside_gamma_I(monkeypatch):
     system = build(rst("A", 2))
     moved_by_1 = system.nonzero_on(0b01)
     assert is_admissible(system, IndexSet.of(1))
+    walk = gamma._echelon_bases
+
+    def moving(moved):  # the walk's bases, each carrying the moved roots moved(basis)
+        return lambda *args: ((basis, moved(basis)) for basis, _ in walk(*args))
+
     # only <e> and <{1}> form a triple with {1}: both lie inside Gamma^{1}
     monkeypatch.setattr(
-        gamma, "_moved_roots", lambda system, basis: moved_by_1 if set(basis) <= {0b01} else 0
+        gamma, "_echelon_bases", moving(lambda basis: moved_by_1 if set(basis) <= {0b01} else 0)
     )
     assert verify_maximality_proposition(system)
     # every subgroup forms a triple with {1}, <{2}> and <{1}, {2}> too
-    monkeypatch.setattr(gamma, "_moved_roots", lambda system, basis: moved_by_1)
+    monkeypatch.setattr(gamma, "_echelon_bases", moving(lambda basis: moved_by_1))
     assert not verify_maximality_proposition(system)
 
 
 def product_scan(system):
     """The former scan, every subgroup against every non-empty I: its verdict,
     and the index sets some subgroup forms a triple with."""
-    bases = list(_echelon_bases(range(system.rank)))
+    bases = [basis for basis, _ in _echelon_bases(range(system.rank), (0,) * system.rank)]
     scanned = [(gamma._moved_roots(system, b), reduce(or_, b, 0)) for b in bases]
     holds, paired = True, set()
     for m in range(1, 1 << system.rank):
